@@ -1,6 +1,6 @@
 """Exact chain-weight bounds and ell-chain optimization over the Boolean lattice."""
 
-from .binom import binomial, chain_weight
+from .binom import binomial, binomial_row, chain_weight
 from .chaincount import (
     ChainCountResult,
     SearchBudgetExceeded,
@@ -60,6 +60,7 @@ __all__ = [
     "best_ratio_window",
     "best_window_for_chains",
     "binomial",
+    "binomial_row",
     "chain_weight",
     "count_chains_family",
     "count_chains_levels",

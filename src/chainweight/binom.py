@@ -3,16 +3,7 @@
 from __future__ import annotations
 
 import math
-import threading
 from typing import Sequence
-
-# Pascal rows 0..(_CACHE_ROWS - 1) are materialized on demand; the hot loops
-# in the optimizers re-query the same small rows constantly.  Larger inputs
-# go straight to math.comb so memory stays bounded.
-_CACHE_ROWS = 512
-
-_rows: list[list[int]] = [[1]]
-_lock = threading.Lock()
 
 
 def binomial(n: int, k: int) -> int:
@@ -21,15 +12,17 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 0 or k > n:
         return 0
-    if n >= _CACHE_ROWS:
-        return math.comb(n, k)
-    if n >= len(_rows):
-        with _lock:
-            while len(_rows) <= n:
-                prev = _rows[-1]
-                row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-                _rows.append(row)
-    return _rows[n][k]
+    return math.comb(n, k)
+
+
+def binomial_row(n: int) -> list[int]:
+    """The row [C(n, 0), ..., C(n, n)], by the exact recurrence C(n, k+1) = C(n, k)(n-k)/(k+1)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    row = [1] * (n + 1)
+    for k in range(n):
+        row[k + 1] = row[k] * (n - k) // (k + 1)
+    return row
 
 
 def chain_weight(n: int, sizes: Sequence[int]) -> int:

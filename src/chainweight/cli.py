@@ -62,8 +62,12 @@ class UsageError(ValueError):
     """Bad command-line input; maps to exit code 1."""
 
 
-class MismatchError(RuntimeError):
-    """A verification or internal consistency check failed; maps to exit code 2."""
+class MismatchReport(Exception):
+    """Carries a finished report whose checks failed; maps to exit code 2."""
+
+    def __init__(self, report: RunReport, message: str = "verification mismatch"):
+        super().__init__(message)
+        self.report = report
 
 
 def parse_condition(text: str) -> Condition:
@@ -112,6 +116,17 @@ def _parse_single_param(name: str, params: str, key: str) -> str:
     got_key, sep, value = params.partition("=")
     if not sep or got_key != key or not value:
         raise UsageError(f"{name} expects {key}=<value>, got '{params}'")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts; rejects anything but an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got '{text}'")
     return value
 
 
@@ -245,16 +260,17 @@ def cmd_bound(args: argparse.Namespace) -> RunReport:
     if closed is not None:
         outputs["closed_form"] = str(closed)
         outputs["closed_form_equal"] = closed == result.value
-        if closed != result.value:
-            raise MismatchError(
-                f"internal inconsistency: optimizer {result.value} != closed form {closed}"
-            )
-    return RunReport(
+    report = RunReport(
         command="bound",
         inputs=_echo_inputs(args, condition=True),
         outputs=outputs,
         provenance=result.method,
     )
+    if closed is not None and closed != result.value:
+        raise MismatchReport(
+            report, f"internal inconsistency: optimizer {result.value} != closed form {closed}"
+        )
+    return report
 
 
 def cmd_chains(args: argparse.Namespace) -> RunReport:
@@ -300,9 +316,10 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
         }
         if args.ell is not None:
             outputs["chain_count"] = str(count_chains_family(family, args.ell))
+        report = RunReport("verify", inputs, outputs, provenance="family-check")
         if not outputs["within_bound"]:
-            raise MismatchError("family satisfies the condition but exceeds the bound")
-        return RunReport("verify", inputs, outputs, provenance="family-check")
+            raise MismatchReport(report, "family satisfies the condition but exceeds the bound")
+        return report
 
     if args.n > OPTIMIZE_MAX_N and not args.accept_exponential:
         raise UsageError(
@@ -335,14 +352,6 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     if mismatch:
         raise MismatchReport(report)
     return report
-
-
-class MismatchReport(Exception):
-    """Carries a finished report whose checks failed; maps to exit code 2."""
-
-    def __init__(self, report: RunReport):
-        super().__init__("verification mismatch")
-        self.report = report
 
 
 def _reproduction_rows() -> list[dict]:
@@ -436,12 +445,12 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
     # subparser with SUPPRESS defaults, so they parse on either side of the
     # subcommand without the subparser default clobbering an earlier value.
     try:
-        default_threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    except ValueError:
-        default_threads = 1
+        default_threads = _positive_int(os.environ.get(THREADS_ENV_VAR, "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{THREADS_ENV_VAR} {exc}") from None
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=argparse.SUPPRESS if suppress else default_threads,
         help="worker count for internal search (results are independent of it)",
     )
@@ -473,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     chains.add_argument("--ell", type=int, required=True)
     chains.add_argument("--levels", help="comma-separated levels; omit to optimize")
     chains.add_argument(
-        "--budget", type=int, default=10**8, help="search node budget for the optimizer"
+        "--budget", type=_positive_int, default=10**8, help="search node budget for the optimizer"
     )
     _add_common_flags(chains, suppress=True)
     chains.set_defaults(func=cmd_chains)
@@ -499,9 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -520,10 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MismatchReport as exc:
         exc.report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
         print(exc.report.render(args.format))
-        print("verification mismatch", file=sys.stderr)
-        return EXIT_MISMATCH
-    except MismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_MISMATCH
     report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
     print(report.render(args.format))

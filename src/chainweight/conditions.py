@@ -140,7 +140,9 @@ def allowed_levels(cond: Condition, levels: Iterable[int]) -> bool:
     )
 
 
-@lru_cache(maxsize=256)
+# A few entries cover the chain search's repeated (cond, n) queries; custom
+# tables are almost never asked twice, and each entry holds n+1 bitmasks.
+@lru_cache(maxsize=8)
 def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     """Per-level conflict bitmasks: bit b of entry a is set iff {a, b} is forbidden.
 

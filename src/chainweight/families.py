@@ -17,7 +17,7 @@ CHAIN_OPTIMIZE_MAX_N = 4
 _SUBMASK_SCAN_MAX_N = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FamilyMask:
     """A family F of subsets of [n] as an indicator over all 2^n subset masks.
 
@@ -70,6 +70,11 @@ class FamilyMask:
     def to_hex(self) -> str:
         digits = max(1, -(-(1 << self.n) // 4))
         return format(self.bits, f"0{digits}x")
+
+    def __repr__(self) -> str:
+        # The default repr prints bits in decimal, which overflows int's
+        # string-conversion limit from n = 14 on.
+        return f"FamilyMask(n={self.n}, bits=0x{self.to_hex()})"
 
     def contains(self, mask: int) -> bool:
         return bool(self.bits >> mask & 1)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .binom import binomial
+from .binom import binomial, binomial_row
 from .conditions import (
     Antichain,
     Condition,
@@ -49,8 +50,7 @@ def erdos_bound(n: int, k: int) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    lo = (n - k) // 2
-    return sum(binomial(n, i) for i in range(lo, (n + k) // 2 + 1))
+    return sum(binomial_row(n)[max((n - k) // 2, 0) : (n + k) // 2 + 1])
 
 
 def katona_bound(n: int, k: int) -> int:
@@ -59,7 +59,7 @@ def katona_bound(n: int, k: int) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    return sum(binomial(n, i) for i in range(n // 2 % k, n + 1, k))
+    return sum(binomial_row(n)[n // 2 % k :: k])
 
 
 def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
@@ -74,13 +74,13 @@ def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     half_n = Fraction(n, 2)
+    row = binomial_row(n)
     out = []
     for residue in range(k):
         offset = (residue - half_n) % k
         if offset > Fraction(k, 2):
             offset -= k
-        weight = sum(binomial(n, i) for i in range(residue % k, n + 1, k))
-        out.append((offset, weight))
+        out.append((offset, sum(row[residue::k])))
     out.sort(key=lambda item: item[0])
     return out
 
@@ -92,8 +92,7 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
     ratio = Fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    hi = _ratio_window_top(k, ratio)
-    return sum(binomial(n, i) for i in range(k, min(hi, n) + 1))
+    return sum(binomial_row(n)[k : min(_ratio_window_top(k, ratio), n) + 1])
 
 
 def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
@@ -103,10 +102,11 @@ def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
     ratio = Fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
+    prefix = list(accumulate(binomial_row(n), initial=0))
     best_value = -1
     best_k = 0
     for k in range(1, n + 1):
-        value = ratio_window_weight(n, k, ratio)
+        value = prefix[min(_ratio_window_top(k, ratio), n) + 1] - prefix[k]
         if value > best_value:
             best_value = value
             best_k = k
@@ -147,22 +147,15 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
 
 
 def _best_single_level(n: int) -> BoundResult:
-    best_h = 0
-    best_w = binomial(n, 0)
-    for h in range(1, n + 1):
-        w = binomial(n, h)
-        if w > best_w:
-            best_w = w
-            best_h = h
-    return BoundResult(best_w, (best_h,), METHOD_DP)
+    row = binomial_row(n)
+    best_w = max(row)
+    return BoundResult(best_w, (row.index(best_w),), METHOD_DP)
 
 
 def _best_contiguous_window(n: int, k: int) -> BoundResult:
     # Any allowed level set spans at most k+1 consecutive levels, and filling
     # the whole window only adds weight, so scanning windows is exact.
-    prefix = [0] * (n + 2)
-    for h in range(n + 1):
-        prefix[h + 1] = prefix[h] + binomial(n, h)
+    prefix = list(accumulate(binomial_row(n), initial=0))
     width = min(k, n)
     best_value = -1
     best_i = 0
@@ -176,7 +169,7 @@ def _best_contiguous_window(n: int, k: int) -> BoundResult:
 
 def _best_gap_levels(n: int, k: int) -> BoundResult:
     # best[h] = largest weight of an allowed set whose minimum level is h.
-    w = [binomial(n, h) for h in range(n + 1)]
+    w = binomial_row(n)
     best = [0] * (n + 1)
     suffix_max = [0] * (n + 2)  # max of best[h..n]
     for h in range(n, -1, -1):
@@ -199,10 +192,6 @@ def _best_gap_levels(n: int, k: int) -> BoundResult:
     return BoundResult(value, tuple(levels), METHOD_DP)
 
 
-def _ratio_window_levels(n: int, k: int, ratio: Fraction) -> tuple[int, ...]:
-    return tuple(range(k, min(_ratio_window_top(k, ratio), n) + 1))
-
-
 def _ratio_window_top(k: int, ratio: Fraction) -> int:
     # Largest integer strictly below ratio * k.
     p, q = ratio.numerator, ratio.denominator
@@ -212,14 +201,15 @@ def _ratio_window_top(k: int, ratio: Fraction) -> int:
 def _best_ratio_levels(n: int, ratio: Fraction) -> BoundResult:
     # Level 0 conflicts with every other level, so the candidates are {0}
     # and, for each minimum level k >= 1, the full window [k, ratio*k).
+    prefix = list(accumulate(binomial_row(n), initial=0))
     best_value = 1
     best_witness: tuple[int, ...] = (0,)
     for k in range(1, n + 1):
-        levels = _ratio_window_levels(n, k, ratio)
-        value = sum(binomial(n, h) for h in levels)
+        top = min(_ratio_window_top(k, ratio), n)
+        value = prefix[top + 1] - prefix[k]
         if value > best_value:
             best_value = value
-            best_witness = levels
+            best_witness = tuple(range(k, top + 1))
     return BoundResult(best_value, best_witness, METHOD_DP)
 
 
@@ -245,7 +235,7 @@ def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) ->
 
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     conflicts = level_conflicts(cond, n)
-    w = [binomial(n, h) for h in range(n + 1)]
+    w = binomial_row(n)
     best_value = -1
     best_witness: tuple[int, ...] = ()
 

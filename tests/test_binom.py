@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from chainweight import binomial, chain_weight
+from chainweight import binomial, binomial_row, chain_weight
 
 
 def factorial_binomial(n, k):
@@ -39,9 +39,14 @@ def test_binomial_rejects_negative_n():
         binomial(-1, 0)
 
 
-def test_binomial_large_inputs_bypass_cache():
+def test_binomial_large_inputs_are_exact():
     assert binomial(10_000, 2) == 10_000 * 9_999 // 2
     assert binomial(10_000, 5_000) == math.comb(10_000, 5_000)
+
+
+@given(n=st.integers(0, 600))
+def test_binomial_row_matches_comb(n):
+    assert binomial_row(n) == [math.comb(n, k) for k in range(n + 1)]
 
 
 @given(n=st.integers(0, 200), k=st.integers(-5, 205))

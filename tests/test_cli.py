@@ -107,6 +107,12 @@ def test_chains_budget_exceeded_exit_code():
     )
     assert result.returncode == 3
     assert "budget" in result.stderr
+    for bad in ("0", "-5", "x"):
+        rejected = run_cli(
+            "chains", "--n", "10", "--condition", "katona:k=2", "--ell", "2", "--budget", bad
+        )
+        assert rejected.returncode == 1
+        assert "--budget" in rejected.stderr and "positive integer" in rejected.stderr
 
 
 def test_verify_command():
@@ -227,6 +233,11 @@ def test_threads_flag_does_not_change_results():
     four = run_cli("--format", "json", "--threads", "4", "bound", "--n", "8", "--condition", "erdos:k=2")
     a, b = json.loads(one.stdout), json.loads(four.stdout)
     assert a["outputs"] == b["outputs"]
+    for bad in ("0", "-3", "two"):
+        rejected = run_cli("--threads", bad, "bound", "--n", "8", "--condition", "erdos:k=2")
+        assert rejected.returncode == 1
+        assert rejected.stdout == ""
+        assert "--threads" in rejected.stderr and "positive integer" in rejected.stderr
 
 
 def test_threads_env_var_sets_default_and_flag_overrides(monkeypatch):
@@ -247,6 +258,13 @@ def test_threads_env_var_sets_default_and_flag_overrides(monkeypatch):
         capture_output=True, text=True, env=env,
     )
     assert json.loads(overridden.stdout)["inputs"]["threads"] == 2
+    for bad in ("abc", "0", "-1"):
+        malformed = subprocess.run(
+            [sys.executable, "-m", "chainweight", "bound", "--n", "4", "--condition", "antichain"],
+            capture_output=True, text=True, env=dict(os.environ, CHAINWEIGHT_THREADS=bad),
+        )
+        assert malformed.returncode == 1
+        assert "CHAINWEIGHT_THREADS" in malformed.stderr
 
 
 def test_main_callable_directly(capsys):
@@ -268,6 +286,17 @@ def test_verify_mismatch_exits_2(monkeypatch, capsys):
     report = json.loads(captured.out)
     assert report["outputs"]["equal"] is False
     assert "mismatch" in captured.err
+
+    # The family path reports its finished record the same way.
+    from chainweight import BoundResult
+
+    monkeypatch.setattr(cli, "size_bound", lambda n, cond: BoundResult(0, (), "dp"))
+    code = cli.main(["--format", "json", "verify", "--n", "2", "--condition", "antichain",
+                     "--family", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["outputs"]["within_bound"] is False
+    assert "exceeds the bound" in captured.err
 
 
 def test_bound_internal_inconsistency_exits_2(monkeypatch, capsys):

@@ -66,6 +66,11 @@ def test_family_mask_basics():
     assert sorted(fam.members()) == [0b011, 0b101]
     assert FamilyMask.empty(3).size() == 0
     assert FamilyMask.full(3).size() == 8
+    assert repr(fam) == "FamilyMask(n=3, bits=0x28)"
+    # From n = 14 on, bits has more decimal digits than int's str() allows.
+    full14 = FamilyMask.full(14)
+    assert repr(full14) == "FamilyMask(n=14, bits=0x" + "f" * 4096 + ")"
+    assert eval(repr(full14)) == full14
 
 
 def test_family_mask_validation():

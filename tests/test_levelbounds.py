@@ -275,7 +275,8 @@ def test_integer_ratio_levels_window_attains_optimum():
 
 
 def test_closed_forms_agree_with_size_bound():
-    for n in range(0, 31):
+    # Large rows too: n = 3000 guards the linear-time ratio window scan.
+    for n in [*range(0, 31), 511, 512, 1000]:
         assert size_bound(n, Antichain()).value == sperner_bound(n)
         for k in range(1, n + 1):
             assert size_bound(n, ErdosWindow(k)).value == erdos_bound(n, k)
@@ -288,6 +289,8 @@ def test_closed_forms_agree_with_size_bound():
                     size_bound(n, IntegerRatio(c)).value
                     == best_ratio_window(n, Fraction(c))[0]
                 )
+    ratio = Fraction(3, 2)
+    assert size_bound(3000, RatioLambda(ratio)).value == best_ratio_window(3000, ratio)[0]
 
 
 def test_bound_monotone_in_ratio():
