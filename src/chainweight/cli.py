@@ -70,6 +70,18 @@ class MismatchReport(Exception):
         self.report = report
 
 
+# The condition grammar: name -> (condition type, parameter key).  The
+# condition types check parameter ranges themselves.
+CONDITION_GRAMMAR = {
+    "antichain": (Antichain, None),
+    "erdos": (ErdosWindow, "k"),
+    "katona": (KatonaGap, "k"),
+    "ratio": (RatioLambda, "lambda"),
+    "intratio": (IntegerRatio, "c"),
+    "custom": (CustomPairwise, "file"),
+}
+
+
 def parse_condition(text: str) -> Condition:
     """Parse the condition grammar.
 
@@ -77,46 +89,56 @@ def parse_condition(text: str) -> Condition:
     | intratio:c=<int> | custom:file=<path>
     """
     name, _, params = text.partition(":")
-    if name == "antichain":
+    if name not in CONDITION_GRAMMAR:
+        raise UsageError(f"unknown condition '{name}'")
+    kind, key = CONDITION_GRAMMAR[name]
+    if key is None:
         if params:
-            raise UsageError(f"antichain takes no parameters, got '{params}'")
-        return Antichain()
-    if name in ("erdos", "katona"):
-        value = _parse_single_param(name, params, "k")
-        k = _parse_int(value, f"{name} parameter k")
-        if k < 1:
-            raise UsageError(f"{name} needs k >= 1, got '{value}'")
-        return ErdosWindow(k) if name == "erdos" else KatonaGap(k)
-    if name == "ratio":
-        value = _parse_single_param(name, params, "lambda")
-        num, sep, den = value.partition("/")
-        if not sep:
-            raise UsageError(f"ratio lambda must look like p/q, got '{value}'")
-        p = _parse_int(num, "ratio numerator")
-        q = _parse_int(den, "ratio denominator")
-        if p <= 0 or q <= 0 or Fraction(p, q) <= 1:
-            raise UsageError(f"ratio lambda must exceed 1, got '{value}'")
-        return RatioLambda(Fraction(p, q))
-    if name == "intratio":
-        value = _parse_single_param(name, params, "c")
-        c = _parse_int(value, "intratio parameter c")
-        if c < 2:
-            raise UsageError(f"intratio needs c >= 2, got '{value}'")
-        return IntegerRatio(c)
-    if name == "custom":
-        value = _parse_single_param(name, params, "file")
-        try:
-            return load_custom_condition(value)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load custom condition '{value}': {exc}") from exc
-    raise UsageError(f"unknown condition '{name}'")
-
-
-def _parse_single_param(name: str, params: str, key: str) -> str:
+            raise UsageError(f"{name} takes no parameters, got '{params}'")
+        return kind()
     got_key, sep, value = params.partition("=")
     if not sep or got_key != key or not value:
         raise UsageError(f"{name} expects {key}=<value>, got '{params}'")
-    return value
+    try:
+        if key == "file":
+            return load_custom_condition(value)
+        return kind(_parse_ratio(value) if key == "lambda" else _parse_int(value))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad condition '{text}': {exc}") from exc
+
+
+def condition_to_string(cond: Condition) -> str:
+    for name, (kind, key) in CONDITION_GRAMMAR.items():
+        if type(cond) is kind:
+            break
+    else:
+        raise TypeError(f"not a condition: {cond!r}")
+    if key is None:
+        return name
+    if key == "file":
+        return f"{name}:n={cond.n}:pairs={len(cond.forbidden)}"
+    if key == "lambda":  # p/q even for whole ratios: the parser needs the slash
+        return f"{name}:lambda={cond.ratio.numerator}/{cond.ratio.denominator}"
+    return f"{name}:{key}={getattr(cond, key)}"
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"expected an integer, got '{text}'") from None
+
+
+def _parse_ratio(text: str) -> Fraction:
+    # Both signs are checked here: Fraction(-3, -2) would pass the ratio's
+    # own check, and a zero denominator would not reach it.
+    num, sep, den = text.partition("/")
+    if not sep:
+        raise UsageError(f"lambda must look like p/q, got '{text}'")
+    p, q = _parse_int(num), _parse_int(den)
+    if p <= 0 or q <= 0:
+        raise UsageError(f"lambda needs p > 0 and q > 0, got '{text}'")
+    return Fraction(p, q)
 
 
 def _positive_int(text: str) -> int:
@@ -128,29 +150,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got '{text}'")
     return value
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got '{text}'") from None
-
-
-def condition_to_string(cond: Condition) -> str:
-    if isinstance(cond, Antichain):
-        return "antichain"
-    if isinstance(cond, ErdosWindow):
-        return f"erdos:k={cond.k}"
-    if isinstance(cond, KatonaGap):
-        return f"katona:k={cond.k}"
-    if isinstance(cond, RatioLambda):
-        return f"ratio:lambda={cond.ratio.numerator}/{cond.ratio.denominator}"
-    if isinstance(cond, IntegerRatio):
-        return f"intratio:c={cond.c}"
-    if isinstance(cond, CustomPairwise):
-        return f"custom:n={cond.n}:pairs={len(cond.forbidden)}"
-    raise TypeError(f"not a condition: {cond!r}")
 
 
 @dataclass
@@ -227,12 +226,11 @@ def _levels_list(levels: Sequence[int]) -> list[int]:
 
 def _parse_levels(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"levels must be comma-separated integers, got '{text}'") from None
-    if not values:
-        raise UsageError("levels list is empty")
-    return values
+        raise UsageError(
+            f"levels must be comma-separated integers with no empty items, got '{text}'"
+        ) from None
 
 
 def _closed_form_value(n: int, cond: Condition) -> int | None:
@@ -242,10 +240,8 @@ def _closed_form_value(n: int, cond: Condition) -> int | None:
         return erdos_bound(n, cond.k)
     if isinstance(cond, KatonaGap):
         return katona_bound(n, cond.k)
-    if isinstance(cond, RatioLambda):
+    if isinstance(cond, (RatioLambda, IntegerRatio)):
         return best_ratio_window(n, cond.ratio)[0] if n >= 1 else 1
-    if isinstance(cond, IntegerRatio):
-        return best_ratio_window(n, Fraction(cond.c))[0] if n >= 1 else 1
     return None
 
 
@@ -516,10 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchBudgetExceeded as exc:

@@ -13,14 +13,22 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Union
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which subclasses int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class Antichain:
     """Forbids every nested pair: at most one set per full chain."""
+
+    def forbids(self, a: int, b: int) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,9 @@ class ErdosWindow:
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
 
+    def forbids(self, a: int, b: int) -> bool:
+        return b - a > self.k
+
 
 @dataclass(frozen=True)
 class KatonaGap:
@@ -43,6 +54,9 @@ class KatonaGap:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
+
+    def forbids(self, a: int, b: int) -> bool:
+        return b - a < self.k
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,10 @@ class RatioLambda:
             raise ValueError(f"ratio must exceed 1, got {ratio}")
         object.__setattr__(self, "ratio", ratio)
 
+    def forbids(self, a: int, b: int) -> bool:
+        # ratio * a <= b, compared exactly as p*a <= q*b for ratio = p/q.
+        return self.ratio.numerator * a <= self.ratio.denominator * b
+
 
 @dataclass(frozen=True)
 class IntegerRatio:
@@ -68,6 +86,12 @@ class IntegerRatio:
         if self.c < 2:
             raise ValueError(f"c must be an integer >= 2, got {self.c}")
 
+    @cached_property  # forbids reads it twice per pair of a conflict compile
+    def ratio(self) -> Fraction:
+        return Fraction(self.c)
+
+    forbids = RatioLambda.forbids
+
 
 @dataclass(frozen=True)
 class CustomPairwise:
@@ -77,24 +101,28 @@ class CustomPairwise:
     forbidden: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        object.__setattr__(self, "forbidden", frozenset(map(tuple, self.forbidden)))
-        for pair in self.forbidden:
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
+        pairs = [tuple(pair) for pair in self.forbidden]
+        for pair in pairs:
             if len(pair) != 2:
                 raise ValueError(f"forbidden entries must be pairs, got {pair!r}")
             a, b = pair
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not (_is_int(a) and _is_int(b)):
                 raise ValueError(f"forbidden pair must hold integers, got {pair!r}")
             if not 0 <= a < b <= self.n:
                 raise ValueError(
                     f"forbidden pair must satisfy 0 <= a < b <= {self.n}, got {pair!r}"
                 )
+        object.__setattr__(self, "forbidden", frozenset(pairs))
+
+    def forbids(self, a: int, b: int) -> bool:
+        if b > self.n:
+            raise ValueError(f"size {b} exceeds the table range n={self.n}")
+        return (a, b) in self.forbidden
 
 
 Condition = Union[Antichain, ErdosWindow, KatonaGap, RatioLambda, IntegerRatio, CustomPairwise]
-
-NAMED_VARIANTS = (Antichain, ErdosWindow, KatonaGap, RatioLambda, IntegerRatio)
 
 
 def forbidden_pair(cond: Condition, a: int, b: int) -> bool:
@@ -103,22 +131,7 @@ def forbidden_pair(cond: Condition, a: int, b: int) -> bool:
         raise ValueError(f"sizes must be nonnegative, got a={a}")
     if a >= b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    if isinstance(cond, Antichain):
-        return True
-    if isinstance(cond, ErdosWindow):
-        return b - a > cond.k
-    if isinstance(cond, KatonaGap):
-        return b - a < cond.k
-    if isinstance(cond, RatioLambda):
-        # ratio * a <= b, compared exactly as p*a <= q*b for ratio = p/q.
-        return cond.ratio.numerator * a <= cond.ratio.denominator * b
-    if isinstance(cond, IntegerRatio):
-        return cond.c * a <= b
-    if isinstance(cond, CustomPairwise):
-        if b > cond.n:
-            raise ValueError(f"size {b} exceeds the table range n={cond.n}")
-        return (a, b) in cond.forbidden
-    raise TypeError(f"not a condition: {cond!r}")
+    return cond.forbids(a, b)
 
 
 def normalize_levels(levels: Iterable[int]) -> tuple[int, ...]:
@@ -150,8 +163,6 @@ def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if isinstance(cond, CustomPairwise) and n > cond.n:
-        raise ValueError(f"n={n} exceeds the custom table range n={cond.n}")
     masks = [0] * (n + 1)
     for a in range(n + 1):
         for b in range(a + 1, n + 1):
@@ -171,18 +182,13 @@ def load_custom_condition(source: str | Path) -> CustomPairwise:
         raise ValueError("custom condition document must be a JSON object")
     if "n" not in data or "forbidden" not in data:
         raise ValueError('custom condition document needs keys "n" and "forbidden"')
-    n = data["n"]
-    if not isinstance(n, int):
-        raise ValueError(f'"n" must be an integer, got {n!r}')
     raw = data["forbidden"]
     if not isinstance(raw, list):
         raise ValueError('"forbidden" must be a list of [a, b] pairs')
-    pairs = set()
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"forbidden entries must be [a, b] pairs, got {entry!r}")
-        pairs.add((entry[0], entry[1]))
-    return CustomPairwise(n=n, forbidden=frozenset(pairs))
+    return CustomPairwise(n=data["n"], forbidden=raw)
 
 
 def _full_chain_indicators(n: int) -> list[int]:

@@ -7,7 +7,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .conditions import Condition, forbidden_pair
+# forbidden_pair is not called here; it stays bound because bench/tracing.py
+# rebinds it on this module by name.
+from .conditions import Condition, forbidden_pair, level_conflicts  # noqa: F401
 
 SATISFIES_MAX_N = 20
 OPTIMIZE_MAX_N = 7
@@ -90,13 +92,6 @@ class FamilyMask:
         return self.bits.bit_count()
 
 
-def _forbidden_matrix(cond: Condition, n: int) -> list[list[bool]]:
-    return [
-        [a < b and forbidden_pair(cond, a, b) for b in range(n + 1)]
-        for a in range(n + 1)
-    ]
-
-
 def _popcounts(n: int) -> np.ndarray:
     # Doubling: popcount(2^b + m) = popcount(m) + 1.
     sizes = np.zeros(1 << n, dtype=np.int64)
@@ -118,13 +113,13 @@ def _subset_sum_inplace(arr: np.ndarray, n: int) -> None:
 def family_satisfies(family: FamilyMask, cond: Condition) -> bool:
     """True iff no strictly nested pair A < B inside the family has forbidden sizes."""
     n = family.n
-    forb = _forbidden_matrix(cond, n)
+    conflicts = level_conflicts(cond, n)
     if n <= _SUBMASK_SCAN_MAX_N:
         for s in family.members():
-            b = s.bit_count()
+            below = conflicts[s.bit_count()]
             t = (s - 1) & s
             while True:
-                if family.contains(t) and forb[t.bit_count()][b]:
+                if family.contains(t) and below >> t.bit_count() & 1:
                     return False
                 if t == 0:
                     break
@@ -136,7 +131,7 @@ def family_satisfies(family: FamilyMask, cond: Condition) -> bool:
     sizes = _popcounts(n)
     present = sorted({int(v) for v in sizes[indicator]}) if family.bits else []
     for a in present:
-        targets = [b for b in present if forb[a][b]]
+        targets = [b for b in present if b > a and conflicts[a] >> b & 1]
         if not targets:
             continue
         counts = np.where(indicator & (sizes == a), 1, 0).astype(np.int64)
@@ -193,13 +188,13 @@ def _count_chains_bigint(family: FamilyMask, ell: int) -> int:
 
 def _conflict_adjacency(cond: Condition, n: int) -> list[int]:
     # adjacency[s] has bit t set iff {t, s} is a nested pair with forbidden sizes
-    forb = _forbidden_matrix(cond, n)
+    conflicts = level_conflicts(cond, n)
     adjacency = [0] * (1 << n)
     for s in range(1 << n):
-        b = s.bit_count()
+        below = conflicts[s.bit_count()]
         t = (s - 1) & s
         while True:
-            if forb[t.bit_count()][b]:
+            if below >> t.bit_count() & 1:
                 adjacency[s] |= 1 << t
                 adjacency[t] |= 1 << s
             if t == 0:

@@ -137,10 +137,8 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
         return _best_contiguous_window(n, cond.k)
     if isinstance(cond, KatonaGap):
         return _best_gap_levels(n, cond.k)
-    if isinstance(cond, RatioLambda):
+    if isinstance(cond, (RatioLambda, IntegerRatio)):
         return _best_ratio_levels(n, cond.ratio)
-    if isinstance(cond, IntegerRatio):
-        return _best_ratio_levels(n, Fraction(cond.c))
     if isinstance(cond, CustomPairwise):
         return _branch_and_bound(n, cond)
     raise TypeError(f"not a condition: {cond!r}")

@@ -43,10 +43,17 @@ def test_parse_condition_errors_name_the_token():
         parse_condition("ratio:lambda=1/2")
     with pytest.raises(UsageError, match="x"):
         parse_condition("katona:k=x")
+    # Ranges are checked by the condition types; the parser names the token.
+    for token in ("erdos:k=0", "intratio:c=1", "ratio:lambda=-3/-2", "ratio:lambda=3/0"):
+        with pytest.raises(UsageError, match=re.escape(token)):
+            parse_condition(token)
 
 
 def test_condition_string_roundtrip():
-    for text in ("antichain", "erdos:k=2", "katona:k=5", "ratio:lambda=3/2", "intratio:c=4"):
+    for text in (
+        "antichain", "erdos:k=2", "katona:k=5", "ratio:lambda=3/2", "ratio:lambda=2/1",
+        "intratio:c=4",
+    ):
         cond = parse_condition(text)
         assert condition_to_string(cond) == text
         assert parse_condition(condition_to_string(cond)) == cond
@@ -82,6 +89,16 @@ def test_chains_command_with_levels():
     report = json.loads(result.stdout)
     assert report["outputs"]["value"] == "41"
     assert report["outputs"]["allowed"] is True
+
+
+def test_chains_levels_reject_empty_items():
+    for levels in ("0,,3,6", "0,3,6,", ",0", ""):
+        result = run_cli(
+            "chains", "--n", "6", "--condition", "katona:k=3", "--ell", "2", "--levels", levels
+        )
+        assert result.returncode == 1, levels
+        assert result.stdout == ""
+        assert "levels" in result.stderr
 
 
 def test_chains_command_optimizes_without_levels():
@@ -143,6 +160,15 @@ def test_verify_custom_condition(tmp_path):
     report = json.loads(result.stdout)
     assert result.returncode == 0
     assert int(report["outputs"]["bound"]) >= int(report["outputs"]["brute"])
+
+
+def test_custom_table_rejects_json_booleans(tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text('{"n": true, "forbidden": [[false, true]]}', encoding="utf-8")
+    result = run_cli("bound", "--n", "1", "--condition", f"custom:file={path}")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "integer" in result.stderr
 
 
 def test_verify_family_hex():

@@ -33,6 +33,50 @@ def named_conditions(n):
     return conds
 
 
+def reference_forbidden_pair(cond, a, b):
+    # Every condition's forbidden pairs written out in one place, apart from
+    # the types' own `forbids`: the oracle that forbidden_pair is checked against.
+    if isinstance(cond, Antichain):
+        return True
+    if isinstance(cond, ErdosWindow):
+        return b - a > cond.k
+    if isinstance(cond, KatonaGap):
+        return b - a < cond.k
+    if isinstance(cond, RatioLambda):
+        return cond.ratio.numerator * a <= cond.ratio.denominator * b
+    if isinstance(cond, IntegerRatio):
+        return cond.c * a <= b
+    if isinstance(cond, CustomPairwise):
+        return (a, b) in cond.forbidden
+    raise TypeError(f"not a condition: {cond!r}")
+
+
+REFERENCE_N = 60
+nested_sizes = st.tuples(st.integers(0, REFERENCE_N), st.integers(0, REFERENCE_N)).filter(
+    lambda pair: pair[0] < pair[1]
+)
+any_condition = st.one_of(
+    st.just(Antichain()),
+    st.builds(ErdosWindow, st.integers(1, REFERENCE_N + 1)),
+    st.builds(KatonaGap, st.integers(1, REFERENCE_N + 1)),
+    st.builds(
+        lambda p, q: RatioLambda(Fraction(q + p, q)), st.integers(1, 40), st.integers(1, 40)
+    ),
+    st.builds(IntegerRatio, st.integers(2, REFERENCE_N + 1)),
+    st.builds(
+        lambda pairs: CustomPairwise(REFERENCE_N, frozenset(pairs)),
+        st.sets(nested_sizes, max_size=80),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(cond=any_condition)
+def test_forbidden_pair_matches_reference_ladder(cond):
+    for a, b in combinations(range(REFERENCE_N + 1), 2):
+        assert forbidden_pair(cond, a, b) is reference_forbidden_pair(cond, a, b)
+
+
 def test_forbidden_pair_examples():
     assert forbidden_pair(KatonaGap(3), 3, 5) is True
     assert forbidden_pair(RatioLambda(Fraction(3, 2)), 4, 6) is True
@@ -211,6 +255,11 @@ def test_load_custom_condition_rejects_bad_documents(tmp_path):
         {"forbidden": []},
         {"n": 3},
         [],
+        # JSON booleans are not integers, although bool subclasses int.
+        {"n": True, "forbidden": [[False, True]]},
+        {"n": 3, "forbidden": [[False, True]]},
+        {"n": "3", "forbidden": []},
+        {"n": 3, "forbidden": [[[0], [1]]]},
     ]
     for i, doc in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
