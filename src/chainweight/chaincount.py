@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
-from .binom import binomial
+# binomial is not called here; it stays bound because bench/tracing.py
+# rebinds it on this module by name.
+from .binom import binomial, binomial_row  # noqa: F401
 from .conditions import Condition, level_conflicts, normalize_levels
+from .levelbounds import _clique_cover_bound
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -36,19 +41,25 @@ def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
     hs = normalize_levels(levels)
     if hs and hs[-1] > n:
         raise ValueError(f"levels must lie in [0, {n}], got {hs}")
-    return _count_from_sorted(n, hs, ell)
+    return _count_levels(n, hs, ell)
 
 
-def _count_from_sorted(n: int, hs: tuple[int, ...], ell: int) -> int:
-    if len(hs) < ell:
+def _count_levels(n: int, hs: Sequence[int], ell: int) -> int:
+    # Only the coefficients between the given ascending levels: at a few
+    # levels of a large n, whole binomial rows cost more than they save.
+    below = [[math.comb(h, lo) for lo in hs[:i]] for i, h in enumerate(hs)]
+    return _count_from_sorted(below, [math.comb(n, h) for h in hs], ell)
+
+
+def _count_from_sorted(below: list[Sequence[int]], top: Sequence[int], ell: int) -> int:
+    # ell-chains in the union of levels h_0 < ... < h_{L-1} of 2^[n], given
+    # below[i] = [C(h_i, h_0), ..., C(h_i, h_{i-1})] and top[i] = C(n, h_i).
+    if len(top) < ell:
         return 0
-    u = [1] * len(hs)
+    u = [1] * len(top)
     for _ in range(ell - 1):
-        u = [
-            sum(binomial(hs[i], hs[j]) * u[j] for j in range(i))
-            for i in range(len(hs))
-        ]
-    return sum(binomial(n, hs[i]) * u[i] for i in range(len(hs)))
+        u = [sum(map(mul, row, u)) for row in below]
+    return sum(map(mul, top, u))
 
 
 def optimal_levels_for_chains(
@@ -62,8 +73,9 @@ def optimal_levels_for_chains(
 
     The witness is the lexicographically smallest maximizer (the empty set
     when no allowed set reaches a positive count).  Depth-first enumeration
-    over levels with an admissible pruning bound: a branch dies when even
-    adding every remaining compatible level cannot beat the incumbent.
+    over levels, ascending with the include branch first.  Each node carries
+    the chain counts of its chosen levels (see _include) and dies when the
+    clique-cover bound of _chain_bound cannot beat the incumbent.
     Raises SearchBudgetExceeded after node_budget search nodes.
     """
     if n < 0:
@@ -71,38 +83,93 @@ def optimal_levels_for_chains(
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     conflicts = level_conflicts(cond, n)
+    rows = [binomial_row(h) for h in range(n + 1)]
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
 
     # Include-first ascending branching makes the first positive maximizer
     # found the lexicographically smallest one; zero-count ties are settled
-    # by initializing the incumbent with the empty set.
-    def dfs(avail: int, chosen: list[int]) -> None:
+    # by initializing the incumbent with the empty set.  A leaf's bound is its
+    # count, so a leaf that survives the bound test beats the incumbent.
+    def dfs(avail: int, sums: list[list[int]], total: int, chosen: list[int]) -> None:
         nonlocal best_count, best_witness, nodes
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
                 f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
             )
-        reachable = chosen + _bit_levels(avail)
-        if _count_from_sorted(n, tuple(reachable), ell) <= best_count:
+        if _chain_bound(rows, conflicts, sums, total, avail) <= best_count:
             return
         if avail == 0:
-            count = _count_from_sorted(n, tuple(chosen), ell)
-            if count > best_count:
-                best_count = count
-                best_witness = tuple(chosen)
+            best_count = total
+            best_witness = tuple(chosen)
             return
         h = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << h)
         chosen.append(h)
-        dfs(rest & ~conflicts[h], chosen)
+        dfs(rest & ~conflicts[h], *_include(rows, sums, total, h), chosen)
         chosen.pop()
-        dfs(rest, chosen)
+        dfs(rest, sums, total, chosen)
 
-    dfs((1 << (n + 1)) - 1, [])
+    dfs((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, [])
     return ChainCountResult(best_count, best_witness, ell)
+
+
+def _include(
+    rows: list[list[int]], sums: list[list[int]], total: int, h: int
+) -> tuple[list[list[int]], int]:
+    """The carried state after adding level h above every chosen level.
+
+    The state of a chosen level set is (sums, total): total is its number of
+    ell-chains and, for 1 <= j < ell, sums[j-1][x] = sum over chosen c of
+    C(x, c) * u_j(c), exact for every level x above the chosen ones.  The new
+    level's chain counts are u_1(h) = 1 and u_j(h) = sums[j-2][h], so an
+    include costs O(ell * n) and a leaf needs no recount.
+    """
+    n = len(rows) - 1
+    u = [1, *(s[h] for s in sums)]
+    sums = [
+        s[: h + 1] + [s[x] + rows[x][h] * uj for x in range(h + 1, n + 1)]
+        for s, uj in zip(sums, u)
+    ]
+    return sums, total + rows[n][h] * u[-1]
+
+
+def _chain_bound(
+    rows: list[list[int]], conflicts: tuple[int, ...], sums: list[list[int]], total: int, avail: int
+) -> int:
+    """Upper bound on the ell-chains of chosen | S over allowed S within avail.
+
+    With (sums, total) the state of the chosen levels (see _include), every
+    level of avail above every chosen one and compatible with all of them:
+    U_1(b) = 1, U_j(b) = sums[j-2][b] + cover(levels of avail below b that
+    do not conflict with b, weights C(b, a) * U_{j-1}(a)), and the bound is
+    total + cover(avail, weights C(n, b) * U_ell(b)).  cover is
+    levelbounds._clique_cover_bound, which is at least the weight of every
+    pairwise compatible subset of its mask, since such a subset takes at
+    most one level from each clique and weights are nonnegative.
+
+    Admissible: S is allowed, so the levels of S below b lie in b's cover
+    mask and are pairwise compatible.  By induction on j, u_j(b) in
+    chosen | S is sums[j-2][b] plus the sum over those levels a of
+    C(b, a) * u_{j-1}(a) <= C(b, a) * U_{j-1}(a), hence at most U_j(b); the
+    same argument over all of S with weights C(n, b) * U_ell(b) bounds the
+    chains that end in S, and total counts those that end in chosen.
+    """
+    n = len(rows) - 1
+    ubar = None  # U_1 = 1 everywhere
+    for s in sums:
+        nxt = [0] * (n + 1)
+        for b in _bit_levels(avail):
+            below = avail & ((1 << b) - 1) & ~conflicts[b]
+            nxt[b] = s[b]
+            if below:
+                w = rows[b] if ubar is None else [c * x for c, x in zip(rows[b], ubar)]
+                nxt[b] += _clique_cover_bound(below, conflicts, w)
+        ubar = nxt
+    top = rows[n] if ubar is None else [c * x for c, x in zip(rows[n], ubar)]
+    return total + _clique_cover_bound(avail, conflicts, top)
 
 
 def _bit_levels(mask: int) -> list[int]:
@@ -121,7 +188,7 @@ def window_chain_count(n: int, k: int, ell: int, i: int) -> int:
         raise ValueError(f"need 0 <= i <= n - k, got i={i}, n={n}, k={k}")
     if not 1 <= ell <= k + 1:
         raise ValueError(f"need 1 <= ell <= k + 1, got ell={ell}")
-    return _count_from_sorted(n, tuple(range(i, i + k + 1)), ell)
+    return _count_levels(n, range(i, i + k + 1), ell)
 
 
 def best_window_for_chains(n: int, k: int, ell: int) -> tuple[int, tuple[int, ...]]:
@@ -134,10 +201,12 @@ def best_window_for_chains(n: int, k: int, ell: int) -> tuple[int, tuple[int, ..
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= ell <= k + 1:
         raise ValueError(f"need 1 <= ell <= k + 1, got ell={ell}")
+    rows = [binomial_row(h) for h in range(n + 1)]
     best_count = -1
     argmax: list[int] = []
     for i in range(n - k + 1):
-        count = window_chain_count(n, k, ell, i)
+        below = [rows[h][i:h] for h in range(i, i + k + 1)]
+        count = _count_from_sorted(below, rows[n][i : i + k + 1], ell)
         if count > best_count:
             best_count = count
             argmax = [i]

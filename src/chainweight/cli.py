@@ -448,7 +448,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
         "--threads",
         type=_positive_int,
         default=argparse.SUPPRESS if suppress else default_threads,
-        help="worker count for internal search (results are independent of it)",
+        help="reserved: validated, but no search reads it yet (results are independent of it)",
     )
     parser.add_argument(
         "--format",

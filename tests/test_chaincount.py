@@ -3,20 +3,27 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainweight import (
     Antichain,
+    CustomPairwise,
     ErdosWindow,
+    IntegerRatio,
     KatonaGap,
     RatioLambda,
     SearchBudgetExceeded,
     allowed_levels,
     best_window_for_chains,
+    binomial,
+    binomial_row,
     count_chains_levels,
     forbidden_pair,
+    level_conflicts,
     optimal_levels_for_chains,
     window_chain_count,
 )
+from chainweight.chaincount import _chain_bound, _include
 
 
 def chains_by_enumeration(n, levels, ell):
@@ -37,6 +44,83 @@ def chains_by_enumeration(n, levels, ell):
     if ell == 0:
         return 1
     return sum(extend(m, 1) for m in members)
+
+
+def reference_count_from_sorted(n, hs, ell):
+    if len(hs) < ell:
+        return 0
+    u = [1] * len(hs)
+    for _ in range(ell - 1):
+        u = [
+            sum(binomial(hs[i], hs[j]) * u[j] for j in range(i))
+            for i in range(len(hs))
+        ]
+    return sum(binomial(n, hs[i]) * u[i] for i in range(len(hs)))
+
+
+def reference_optimal_levels_for_chains(n, cond, ell):
+    # The search before chain counts were carried down the include path:
+    # every node recounts the chains of its whole reachable set, and that
+    # count is the pruning bound.  Returns (count, levels).
+    conflicts = level_conflicts(cond, n)
+    best = [0, ()]
+
+    def levels_of(mask):
+        return [h for h in range(n + 1) if mask >> h & 1]
+
+    def dfs(avail, chosen):
+        reachable = tuple(chosen + levels_of(avail))
+        if reference_count_from_sorted(n, reachable, ell) <= best[0]:
+            return
+        if avail == 0:
+            count = reference_count_from_sorted(n, tuple(chosen), ell)
+            if count > best[0]:
+                best[:] = [count, tuple(chosen)]
+            return
+        h = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << h)
+        chosen.append(h)
+        dfs(rest & ~conflicts[h], chosen)
+        chosen.pop()
+        dfs(rest, chosen)
+
+    dfs((1 << (n + 1)) - 1, [])
+    return tuple(best)
+
+
+@st.composite
+def conditions_on(draw, n):
+    # Every condition type, with custom tables of random density on [n].
+    kind = draw(st.sampled_from(("antichain", "erdos", "katona", "ratio", "intratio", "custom")))
+    if kind == "antichain":
+        return Antichain()
+    if kind == "erdos":
+        return ErdosWindow(draw(st.integers(1, 6)))
+    if kind == "katona":
+        return KatonaGap(draw(st.integers(1, 7)))
+    if kind == "ratio":
+        q = draw(st.integers(1, 6))
+        return RatioLambda(Fraction(q + draw(st.integers(1, 3 * q)), q))
+    if kind == "intratio":
+        return IntegerRatio(draw(st.integers(2, 5)))
+    percent = draw(st.integers(0, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = {
+        (a, b) for a, b in combinations(range(n + 1), 2) if rng.randrange(100) < percent
+    }
+    return CustomPairwise(n, frozenset(pairs))
+
+
+def allowed_subsets(avail, conflicts):
+    # Every pairwise compatible set of levels inside the mask avail.
+    if avail == 0:
+        yield []
+        return
+    h = (avail & -avail).bit_length() - 1
+    rest = avail & ~(1 << h)
+    for tail in allowed_subsets(rest & ~conflicts[h], conflicts):
+        yield [h, *tail]
+    yield from allowed_subsets(rest, conflicts)
 
 
 def test_count_examples():
@@ -123,6 +207,44 @@ def test_optimal_levels_matches_exhaustive_scan():
                 )
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(1, 4))
+def test_optimal_levels_match_reference_search(data, n, ell):
+    cond = data.draw(conditions_on(n))
+    result = optimal_levels_for_chains(n, cond, ell)
+    assert (result.count, result.levels) == reference_optimal_levels_for_chains(n, cond, ell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), ell=st.integers(1, 4))
+def test_chain_bound_is_admissible(data, n, ell):
+    # A search node: an allowed chosen set below a cut, and as avail some of
+    # the levels from the cut up that are compatible with every chosen level.
+    cond = data.draw(conditions_on(n))
+    conflicts = level_conflicts(cond, n)
+    cut = data.draw(st.integers(0, n + 1))
+    chosen = []
+    compatible = (1 << (n + 1)) - 1
+    for h in range(cut):
+        if compatible >> h & 1 and data.draw(st.booleans()):
+            chosen.append(h)
+            compatible &= ~conflicts[h]
+    dropped = data.draw(st.integers(0, (1 << (n + 1)) - 1)) if data.draw(st.booleans()) else 0
+    avail = compatible & ~dropped & ~((1 << cut) - 1)
+
+    rows = [binomial_row(h) for h in range(n + 1)]
+    sums, total = [[0] * (n + 1) for _ in range(ell - 1)], 0
+    for h in chosen:
+        sums, total = _include(rows, sums, total, h)
+    assert total == count_chains_levels(n, chosen, ell)
+    assert _chain_bound(rows, conflicts, sums, total, 0) == total
+    best = max(
+        count_chains_levels(n, chosen + extra, ell)
+        for extra in allowed_subsets(avail, conflicts)
+    )
+    assert _chain_bound(rows, conflicts, sums, total, avail) >= best
+
+
 def test_optimal_levels_witness_is_allowed():
     for n in (5, 9, 13):
         for cond in (KatonaGap(2), KatonaGap(4), ErdosWindow(2)):
@@ -144,6 +266,16 @@ def test_katona_chain_levels_beat_residue_class():
 def test_budget_exceeded_is_distinct():
     with pytest.raises(SearchBudgetExceeded):
         optimal_levels_for_chains(10, KatonaGap(2), 2, node_budget=5)
+
+
+def test_node_budget_bounds_the_large_katona_search():
+    # The search at n=40 visits a few thousand nodes; a budget below that
+    # raises, and one above it returns the known witness.
+    with pytest.raises(SearchBudgetExceeded):
+        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=1000)
+    result = optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=5000)
+    assert result.levels == tuple(range(0, 41, 3))
+    assert result.count == 1350851351169116164
 
 
 def test_window_chain_count_examples():
@@ -177,9 +309,12 @@ def test_best_window_maximizers_are_centered():
     for n in range(1, 15):
         for k in range(1, min(n, 4) + 1):
             for ell in range(1, k + 2):
-                _, argmax = best_window_for_chains(n, k, ell)
+                count, argmax = best_window_for_chains(n, k, ell)
                 expected = {(n - k) // 2, -((k - n) // 2)}
                 assert set(argmax) == expected, (n, k, ell)
+                counts = [window_chain_count(n, k, ell, i) for i in range(n - k + 1)]
+                assert count == max(counts)
+                assert argmax == tuple(i for i, c in enumerate(counts) if c == count)
 
 
 def test_window_weights_strictly_unimodal():
