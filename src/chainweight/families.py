@@ -1,22 +1,30 @@
-"""Ground-truth oracles over explicit families of subsets of [n] at desk scale."""
+"""Ground-truth oracles over explicit families of subsets of [n] at desk scale.
+
+Each check or count unpacks the family into one numpy bool array; numpy is
+imported inside those helpers, so the level-set code never loads it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from math import comb
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # forbidden_pair is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
 from .conditions import Condition, forbidden_pair, level_conflicts  # noqa: F401
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SATISFIES_MAX_N = 20
 OPTIMIZE_MAX_N = 7
 CHAIN_OPTIMIZE_MAX_N = 4
 
-# Above this the pairwise submask scan gives way to the vectorized transform.
-_SUBMASK_SCAN_MAX_N = 12
+
+def _check_n(n: int, what: str) -> None:
+    if not 0 <= n <= SATISFIES_MAX_N:
+        raise ValueError(f"{what} needs 0 <= n <= {SATISFIES_MAX_N}, got n={n}")
 
 
 @dataclass(frozen=True, repr=False)
@@ -31,8 +39,7 @@ class FamilyMask:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= SATISFIES_MAX_N:
-            raise ValueError(f"need 0 <= n <= {SATISFIES_MAX_N}, got {self.n}")
+        _check_n(self.n, "FamilyMask")
         if self.bits < 0 or self.bits >> (1 << self.n):
             raise ValueError(f"indicator out of range for n={self.n}")
 
@@ -56,14 +63,15 @@ class FamilyMask:
     @classmethod
     def from_levels(cls, n: int, levels: Iterable[int]) -> "FamilyMask":
         """The union of the given full levels."""
+        import numpy as np
+
+        _check_n(n, "FamilyMask")
         wanted = set(levels)
         if any(not 0 <= h <= n for h in wanted):
             raise ValueError(f"levels must lie in [0, {n}]")
-        bits = 0
-        for mask in range(1 << n):
-            if mask.bit_count() in wanted:
-                bits |= 1 << mask
-        return cls(n, bits)
+        chosen = np.zeros(n + 1, dtype=bool)
+        chosen[list(wanted)] = True
+        return cls(n, _bits(chosen[_popcounts(n)]))
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "FamilyMask":
@@ -82,19 +90,32 @@ class FamilyMask:
         return bool(self.bits >> mask & 1)
 
     def members(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits &= bits - 1
+        return iter(_indicator(self).nonzero()[0].tolist())
 
     def size(self) -> int:
         return self.bits.bit_count()
 
 
+def _indicator(family: FamilyMask) -> np.ndarray:
+    # Bit s of family.bits becomes entry s of a bool array of length 2^n.
+    import numpy as np
+
+    size = 1 << family.n
+    packed = np.frombuffer(family.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
+
+
+def _bits(indicator: np.ndarray) -> int:
+    import numpy as np
+
+    return int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(), "little")
+
+
 def _popcounts(n: int) -> np.ndarray:
     # Doubling: popcount(2^b + m) = popcount(m) + 1.
-    sizes = np.zeros(1 << n, dtype=np.int64)
+    import numpy as np
+
+    sizes = np.zeros(1 << n, dtype=np.uint8)
     size = 1
     while size < (1 << n):
         sizes[size : 2 * size] = sizes[:size] + 1
@@ -103,7 +124,8 @@ def _popcounts(n: int) -> np.ndarray:
 
 
 def _subset_sum_inplace(arr: np.ndarray, n: int) -> None:
-    # Standard subset-sum transform: arr[s] becomes sum over t subset of s.
+    # Standard subset-sum (zeta) transform: arr[s] becomes the sum over t
+    # subset of s; on a bool array + is OR, so it marks the supersets instead.
     for b in range(n):
         step = 1 << b
         view = arr.reshape(-1, 2 * step)
@@ -112,34 +134,35 @@ def _subset_sum_inplace(arr: np.ndarray, n: int) -> None:
 
 def family_satisfies(family: FamilyMask, cond: Condition) -> bool:
     """True iff no strictly nested pair A < B inside the family has forbidden sizes."""
+    import numpy as np
+
     n = family.n
     conflicts = level_conflicts(cond, n)
-    if n <= _SUBMASK_SCAN_MAX_N:
-        for s in family.members():
-            below = conflicts[s.bit_count()]
-            t = (s - 1) & s
-            while True:
-                if family.contains(t) and below >> t.bit_count() & 1:
-                    return False
-                if t == 0:
-                    break
-                t = (t - 1) & s
-        return True
-    indicator = np.zeros(1 << n, dtype=bool)
-    for s in family.members():
-        indicator[s] = True
+    indicator = _indicator(family)
     sizes = _popcounts(n)
-    present = sorted({int(v) for v in sizes[indicator]}) if family.bits else []
+    present = np.bincount(sizes[indicator], minlength=n + 1).nonzero()[0].tolist()
     for a in present:
-        targets = [b for b in present if b > a and conflicts[a] >> b & 1]
-        if not targets:
+        is_target = np.array([b > a and bool(conflicts[a] >> b & 1) for b in range(n + 1)])
+        if not is_target[present].any():
             continue
-        counts = np.where(indicator & (sizes == a), 1, 0).astype(np.int64)
-        _subset_sum_inplace(counts, n)
-        for b in targets:
-            if np.any(counts[indicator & (sizes == b)] > 0):
-                return False
+        above = indicator & (sizes == a)
+        _subset_sum_inplace(above, n)
+        if above[indicator & is_target[sizes]].any():
+            return False
     return True
+
+
+def _full_lattice_chains(n: int, j: int) -> int:
+    """Number of j-chains S_1 < ... < S_j among all subsets of [n]."""
+    # Each element goes inside S_1, into one S_i minus S_(i-1), or outside
+    # S_j; inclusion-exclusion keeps the j - 1 differences nonempty.
+    return sum((-1) ** i * comb(j - 1, i) * (j + 1 - i) ** n for i in range(j))
+
+
+def _int64_safe(n: int, ell: int) -> bool:
+    # Every entry of the ell-chain count transform is at most the number of
+    # j-chains of the full lattice for some j <= ell; none past j = n + 1.
+    return all(_full_lattice_chains(n, j) < 2**63 for j in range(1, min(ell, n + 1) + 1))
 
 
 def count_chains_family(family: FamilyMask, ell: int) -> int:
@@ -148,42 +171,20 @@ def count_chains_family(family: FamilyMask, ell: int) -> int:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     if ell == 1:
         return family.size()
-    # (ell+1)^n bounds the count, so int64 is provably safe below the guard.
-    if (ell + 1) ** family.n < 2**62:
-        return _count_chains_vector(family, ell)
-    return _count_chains_bigint(family, ell)
+    import numpy as np
 
-
-def _count_chains_vector(family: FamilyMask, ell: int) -> int:
     n = family.n
-    indicator = np.zeros(1 << n, dtype=np.int64)
-    for s in family.members():
-        indicator[s] = 1
-    current = indicator.copy()
+    indicator = _indicator(family)
+    # current[s]: chains of the current length in the family with top s.
+    current = indicator.astype(np.int64 if _int64_safe(n, ell) else object)
     for _ in range(ell - 1):
-        acc = current.copy()
-        _subset_sum_inplace(acc, n)
-        current = (acc - current) * indicator
+        if not current.any():
+            return 0
+        previous = current.copy()
+        _subset_sum_inplace(current, n)
+        current -= previous
+        current *= indicator
     return int(current.sum())
-
-
-def _count_chains_bigint(family: FamilyMask, ell: int) -> int:
-    n = family.n
-    indicator = [0] * (1 << n)
-    for s in family.members():
-        indicator[s] = 1
-    current = list(indicator)
-    for _ in range(ell - 1):
-        acc = list(current)
-        for b in range(n):
-            step = 1 << b
-            for s in range(1 << n):
-                if s & step:
-                    acc[s] += acc[s ^ step]
-        current = [
-            (acc[s] - current[s]) if indicator[s] else 0 for s in range(1 << n)
-        ]
-    return sum(current)
 
 
 def _conflict_adjacency(cond: Condition, n: int) -> list[int]:
@@ -210,10 +211,9 @@ def max_family(
 
     Branch and bound over the 2^n-vertex conflict graph whose edges are the
     forbidden nested pairs; families are its independent sets.  Capped at
-    n <= 7 unless accept_exponential is set.
+    n <= 7 unless accept_exponential is set, and at n <= 20 always.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_n(n, "max_family")
     if n > OPTIMIZE_MAX_N and not accept_exponential:
         raise ValueError(
             f"max_family is exponential; n={n} needs accept_exponential=True"
@@ -324,10 +324,9 @@ def max_chains_family(
 
     Adding a set never removes chains, so the maximum is attained by some
     maximal satisfying family; those are enumerated exhaustively.  Capped at
-    n <= 4 unless accept_exponential is set.
+    n <= 4 unless accept_exponential is set, and at n <= 20 always.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_n(n, "max_chains_family")
     if n > CHAIN_OPTIMIZE_MAX_N and not accept_exponential:
         raise ValueError(
             f"max_chains_family is doubly exponential; n={n} needs accept_exponential=True"

@@ -193,6 +193,13 @@ def test_verify_cap_requires_flag():
     assert "accept-exponential" in result.stderr
 
 
+def test_verify_past_the_family_cap_exits_1(capsys):
+    for extra in ([], ["--ell", "2"]):
+        argv = ["verify", "--n", "25", "--condition", "antichain", "--accept-exponential"]
+        assert main(argv + extra) == 1
+        assert "n <= 20" in capsys.readouterr().err
+
+
 def test_reproduce_fixed_witnesses():
     result = run_cli("--format", "json", "reproduce")
     assert result.returncode == 0, result.stderr

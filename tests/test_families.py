@@ -1,8 +1,11 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainweight import (
     Antichain,
@@ -16,12 +19,15 @@ from chainweight import (
     count_chains_levels,
     family_satisfies,
     forbidden_pair,
+    level_conflicts,
     max_chains_family,
     max_family,
     optimal_levels_for_chains,
     size_bound,
 )
 from chainweight.conditions import _full_chain_indicators
+from chainweight.families import _full_lattice_chains, _int64_safe
+from test_chaincount import conditions_on
 
 
 def named_conditions(n):
@@ -58,6 +64,134 @@ def naive_chain_count(family, ell):
     return sum(extend(m, 1) for m in members)
 
 
+# Reference implementations: the bit-peeling, submask-scan and pure-int code
+# that families.py ran before it moved to one packed numpy indicator.  The
+# new paths are checked against them.
+
+REFERENCE_SCAN_MAX_N = 12
+
+
+def reference_members(family):
+    bits = family.bits
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits &= bits - 1
+
+
+def reference_from_levels(n, levels):
+    wanted = set(levels)
+    bits = 0
+    for mask in range(1 << n):
+        if mask.bit_count() in wanted:
+            bits |= 1 << mask
+    return FamilyMask(n, bits)
+
+
+def reference_popcounts(n):
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    size = 1
+    while size < (1 << n):
+        sizes[size : 2 * size] = sizes[:size] + 1
+        size *= 2
+    return sizes
+
+
+def reference_subset_sum(arr, n):
+    for b in range(n):
+        step = 1 << b
+        view = arr.reshape(-1, 2 * step)
+        view[:, step:] += view[:, :step]
+
+
+def reference_family_satisfies(family, cond):
+    n = family.n
+    conflicts = level_conflicts(cond, n)
+    if n <= REFERENCE_SCAN_MAX_N:
+        for s in reference_members(family):
+            below = conflicts[s.bit_count()]
+            t = (s - 1) & s
+            while True:
+                if family.contains(t) and below >> t.bit_count() & 1:
+                    return False
+                if t == 0:
+                    break
+                t = (t - 1) & s
+        return True
+    indicator = np.zeros(1 << n, dtype=bool)
+    for s in reference_members(family):
+        indicator[s] = True
+    sizes = reference_popcounts(n)
+    present = sorted({int(v) for v in sizes[indicator]}) if family.bits else []
+    for a in present:
+        targets = [b for b in present if b > a and conflicts[a] >> b & 1]
+        if not targets:
+            continue
+        counts = np.where(indicator & (sizes == a), 1, 0).astype(np.int64)
+        reference_subset_sum(counts, n)
+        for b in targets:
+            if np.any(counts[indicator & (sizes == b)] > 0):
+                return False
+    return True
+
+
+def reference_count_chains_family(family, ell):
+    if ell == 1:
+        return family.size()
+    if (ell + 1) ** family.n < 2**62:
+        return reference_count_chains_vector(family, ell)
+    return reference_count_chains_bigint(family, ell)
+
+
+def reference_count_chains_vector(family, ell):
+    n = family.n
+    indicator = np.zeros(1 << n, dtype=np.int64)
+    for s in reference_members(family):
+        indicator[s] = 1
+    current = indicator.copy()
+    for _ in range(ell - 1):
+        acc = current.copy()
+        reference_subset_sum(acc, n)
+        current = (acc - current) * indicator
+    return int(current.sum())
+
+
+def reference_count_chains_bigint(family, ell):
+    n = family.n
+    indicator = [0] * (1 << n)
+    for s in reference_members(family):
+        indicator[s] = 1
+    current = list(indicator)
+    for _ in range(ell - 1):
+        acc = list(current)
+        for b in range(n):
+            step = 1 << b
+            for s in range(1 << n):
+                if s & step:
+                    acc[s] += acc[s ^ step]
+        current = [
+            (acc[s] - current[s]) if indicator[s] else 0 for s in range(1 << n)
+        ]
+    return sum(current)
+
+
+@st.composite
+def families_up_to(draw, max_n):
+    # Dense (density 1/2), sparse (1/32) or level-union families; the levels
+    # come back too, for the from_levels check.
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(("dense", "sparse", "levels")))
+    if kind == "levels":
+        levels = draw(st.sets(st.integers(0, n)))
+        return reference_from_levels(n, levels), levels
+    rng = draw(st.randoms(use_true_random=False))
+    bits = rng.getrandbits(1 << n)
+    if kind == "sparse":
+        for _ in range(4):
+            bits &= rng.getrandbits(1 << n)
+    return FamilyMask(n, bits), None
+
+
 def test_family_mask_basics():
     fam = FamilyMask.from_members(3, [0b011, 0b101])
     assert fam.size() == 2
@@ -90,6 +224,7 @@ def test_family_mask_from_levels():
     fam = FamilyMask.from_levels(4, [0, 2])
     assert fam.size() == 1 + 6
     assert all(m.bit_count() in (0, 2) for m in fam.members())
+    assert all(type(m) is int for m in fam.members())
 
 
 @given(n=st.integers(0, 8), data=st.data())
@@ -118,9 +253,7 @@ def test_family_satisfies_matches_naive():
 
 
 def test_family_satisfies_vector_path_matches_scan():
-    # Same computation through the transform path used above n=12.
-    import chainweight.families as families
-
+    # Above n=12 the reference takes its transform path instead of the scan.
     rng_cases = [
         (13, KatonaGap(3), [0, 3, 6, 9, 12]),
         (13, KatonaGap(3), [0, 3, 6, 9, 11]),
@@ -136,7 +269,8 @@ def test_family_satisfies_vector_path_matches_scan():
             for a, b in itertools.combinations(sorted(levels), 2)
         )
         assert family_satisfies(fam, cond) == expected
-        assert n > families._SUBMASK_SCAN_MAX_N
+        assert reference_family_satisfies(fam, cond) == expected
+        assert n > REFERENCE_SCAN_MAX_N
 
 
 def test_count_chains_family_examples():
@@ -157,18 +291,71 @@ def test_count_chains_family_matches_naive():
 
 
 def test_count_chains_family_bigint_path_matches_vector():
-    from chainweight.families import _count_chains_bigint, _count_chains_vector
-
     for n in (3, 5, 6):
         for levels in ([0, 2, 4], list(range(n + 1)), [1, n]):
             fam = FamilyMask.from_levels(n, [h for h in levels if h <= n])
             for ell in (2, 3, 5):
-                assert _count_chains_bigint(fam, ell) == _count_chains_vector(fam, ell)
-    # Counts that overflow the int64 guard take the big-int route end to end.
+                expected = reference_count_chains_vector(fam, ell)
+                assert reference_count_chains_bigint(fam, ell) == expected
+                assert count_chains_family(fam, ell) == expected
+    # Counts past the reference's loose int64 guard, end to end.
     full = FamilyMask.full(6)
     assert (1290 + 1) ** 6 >= 2**62
     assert count_chains_family(full, 1290) == 0
     assert count_chains_family(full, 7) == naive_chain_count(full, 7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=families_up_to(14), data=st.data())
+def test_family_oracles_match_reference(case, data):
+    family, levels = case
+    n = family.n
+    cond = data.draw(conditions_on(n))
+    assert family_satisfies(family, cond) == reference_family_satisfies(family, cond)
+    for ell in range(1, 7):
+        assert count_chains_family(family, ell) == reference_count_chains_family(family, ell)
+    assert list(family.members()) == list(reference_members(family))
+    if levels is not None:
+        assert FamilyMask.from_levels(n, levels) == family
+    assert FamilyMask.from_hex(n, family.to_hex()) == family
+
+
+def test_count_chains_family_object_path_n19():
+    # 11-chains of the full lattice at n = 19 overflow int64, so the count
+    # runs on Python ints.
+    n, ell = 19, 11
+    assert not _int64_safe(n, ell)
+    expected = count_chains_levels(n, range(n + 1), ell)
+    assert expected > 2**63
+    assert count_chains_family(FamilyMask.full(n), ell) == expected
+
+
+def test_int64_guard_matches_full_lattice_counts():
+    for n in range(0, 21):
+        full = [count_chains_levels(n, range(n + 1), j) for j in range(1, n + 4)]
+        assert [_full_lattice_chains(n, j) for j in range(1, n + 4)] == full
+        for ell in range(1, n + 4):
+            assert _int64_safe(n, ell) == (max(full[:ell]) < 2**63)
+    assert all(_int64_safe(n, ell) for n in range(19) for ell in range(1, 30))
+    assert [_int64_safe(19, ell) for ell in (10, 11)] == [True, False]
+    assert [_int64_safe(20, ell) for ell in (8, 9)] == [True, False]
+
+
+def test_level_commands_do_not_import_numpy():
+    code = (
+        "import sys, chainweight\n"
+        "from chainweight.cli import main\n"
+        "chainweight.size_bound(12, chainweight.KatonaGap(3))\n"
+        "chainweight.optimal_levels_for_chains(12, chainweight.KatonaGap(3), 2)\n"
+        "for argv in (['bound', '--n', '6', '--condition', 'katona:k=3'],\n"
+        "             ['verify', '--n', '5', '--condition', 'antichain']):\n"
+        "    assert main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "chainweight.family_satisfies(chainweight.FamilyMask.full(3), chainweight.Antichain())\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_count_chains_levels_equals_family_oracle():
@@ -306,6 +493,17 @@ def test_max_chains_family_matches_level_optimizer():
 def test_max_chains_family_cap():
     with pytest.raises(ValueError):
         max_chains_family(5, Antichain(), 2)
+
+
+def test_exponential_optimisers_stop_at_the_family_cap():
+    # Checked before the 2^n adjacency bitsets are built, so n = 25 fails at
+    # once instead of exhausting memory.
+    with pytest.raises(ValueError, match="n <= 20"):
+        max_family(25, Antichain(), accept_exponential=True)
+    with pytest.raises(ValueError, match="n <= 20"):
+        max_chains_family(25, Antichain(), 2, accept_exponential=True)
+    with pytest.raises(ValueError, match="n <= 20"):
+        max_family(-1, Antichain())
 
 
 def test_family_satisfies_agrees_with_chain_definition():
