@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # binomial is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
 from .binom import binomial, binomial_row  # noqa: F401
 from .conditions import Condition, level_conflicts, normalize_levels
-from .levelbounds import _clique_cover_bound
+from .levelbounds import _relaxation
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -74,8 +74,11 @@ def optimal_levels_for_chains(
     The witness is the lexicographically smallest maximizer (the empty set
     when no allowed set reaches a positive count).  Depth-first enumeration
     over levels, ascending with the include branch first.  Each node carries
-    the chain counts of its chosen levels (see _include) and dies when the
-    clique-cover bound of _chain_bound cannot beat the incumbent.
+    the chain counts of its chosen levels (see _include) and dies when
+    _chain_bound cannot beat the incumbent.  The bound relaxes the condition
+    level by level with levelbounds._relaxation, the exact maximum weight of
+    an allowed subset for the named conditions (a clique cover for a custom
+    table).
     Raises SearchBudgetExceeded after node_budget search nodes.
     """
     if n < 0:
@@ -83,6 +86,7 @@ def optimal_levels_for_chains(
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     conflicts = level_conflicts(cond, n)
+    relax = _relaxation(cond, conflicts)
     rows = [binomial_row(h) for h in range(n + 1)]
     best_count = 0
     best_witness: tuple[int, ...] = ()
@@ -99,7 +103,7 @@ def optimal_levels_for_chains(
             raise SearchBudgetExceeded(
                 f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
             )
-        if _chain_bound(rows, conflicts, sums, total, avail) <= best_count:
+        if _chain_bound(rows, conflicts, relax, sums, total, avail) <= best_count:
             return
         if avail == 0:
             best_count = total
@@ -137,20 +141,26 @@ def _include(
 
 
 def _chain_bound(
-    rows: list[list[int]], conflicts: tuple[int, ...], sums: list[list[int]], total: int, avail: int
+    rows: list[list[int]],
+    conflicts: tuple[int, ...],
+    relax: Callable[[list[int], int], int],
+    sums: list[list[int]],
+    total: int,
+    avail: int,
 ) -> int:
     """Upper bound on the ell-chains of chosen | S over allowed S within avail.
 
     With (sums, total) the state of the chosen levels (see _include), every
     level of avail above every chosen one and compatible with all of them:
-    U_1(b) = 1, U_j(b) = sums[j-2][b] + cover(levels of avail below b that
-    do not conflict with b, weights C(b, a) * U_{j-1}(a)), and the bound is
-    total + cover(avail, weights C(n, b) * U_ell(b)).  cover is
-    levelbounds._clique_cover_bound, which is at least the weight of every
-    pairwise compatible subset of its mask, since such a subset takes at
-    most one level from each clique and weights are nonnegative.
+    U_1(b) = 1, U_j(b) = sums[j-2][b] + relax(weights C(b, a) * U_{j-1}(a),
+    levels of avail below b that do not conflict with b), and the bound is
+    total + relax(weights C(n, b) * U_ell(b), avail).  relax is
+    levelbounds._relaxation, which is at least the weight of every pairwise
+    compatible subset of its mask for nonnegative weights: exactly the
+    largest such weight for the named conditions, a clique cover for a
+    custom table.
 
-    Admissible: S is allowed, so the levels of S below b lie in b's cover
+    Admissible: S is allowed, so the levels of S below b lie in b's relax
     mask and are pairwise compatible.  By induction on j, u_j(b) in
     chosen | S is sums[j-2][b] plus the sum over those levels a of
     C(b, a) * u_{j-1}(a) <= C(b, a) * U_{j-1}(a), hence at most U_j(b); the
@@ -158,18 +168,19 @@ def _chain_bound(
     chains that end in S, and total counts those that end in chosen.
     """
     n = len(rows) - 1
+    levels = _bit_levels(avail)
     ubar = None  # U_1 = 1 everywhere
     for s in sums:
         nxt = [0] * (n + 1)
-        for b in _bit_levels(avail):
+        for b in levels:
             below = avail & ((1 << b) - 1) & ~conflicts[b]
             nxt[b] = s[b]
             if below:
-                w = rows[b] if ubar is None else [c * x for c, x in zip(rows[b], ubar)]
-                nxt[b] += _clique_cover_bound(below, conflicts, w)
+                w = rows[b] if ubar is None else list(map(mul, rows[b], ubar))
+                nxt[b] += relax(w, below)
         ubar = nxt
-    top = rows[n] if ubar is None else [c * x for c, x in zip(rows[n], ubar)]
-    return total + _clique_cover_bound(avail, conflicts, top)
+    top = rows[n] if ubar is None else list(map(mul, rows[n], ubar))
+    return total + relax(top, avail)
 
 
 def _bit_levels(mask: int) -> list[int]:

@@ -20,6 +20,9 @@ if TYPE_CHECKING:
 SATISFIES_MAX_N = 20
 OPTIMIZE_MAX_N = 7
 CHAIN_OPTIMIZE_MAX_N = 4
+# The exact optimisers hold two lists of 2^n ints of 2^n bits: about
+# 2^(2n-2) bytes, so this admits n <= 16.
+ADJACENCY_MAX_BYTES = 1 << 30
 
 
 def _check_n(n: int, what: str) -> None:
@@ -204,6 +207,22 @@ def _conflict_adjacency(cond: Condition, n: int) -> list[int]:
     return adjacency
 
 
+def _compatibility(cond: Condition, n: int, what: str) -> tuple[list[int], int]:
+    # compatible[v] has bit t set iff t != v and {t, v} is not a forbidden
+    # nested pair; returned with the all-vertices mask.  The size estimate
+    # is checked before anything is allocated.
+    estimate = (1 << 2 * n) // 4
+    if estimate > ADJACENCY_MAX_BYTES:
+        raise ValueError(
+            f"{what} at n={n} needs about {estimate / 2**30:g} GiB of adjacency "
+            f"bitsets, over the {ADJACENCY_MAX_BYTES / 2**30:g} GiB limit"
+        )
+    adjacency = _conflict_adjacency(cond, n)
+    universe = (1 << (1 << n)) - 1
+    compatible = [universe & ~adj & ~(1 << v) for v, adj in enumerate(adjacency)]
+    return compatible, universe
+
+
 def max_family(
     n: int, cond: Condition, *, accept_exponential: bool = False
 ) -> tuple[int, FamilyMask]:
@@ -211,19 +230,15 @@ def max_family(
 
     Branch and bound over the 2^n-vertex conflict graph whose edges are the
     forbidden nested pairs; families are its independent sets.  Capped at
-    n <= 7 unless accept_exponential is set, and at n <= 20 always.
+    n <= 7 unless accept_exponential is set, and at n <= 16 always (the
+    adjacency bitsets would pass ADJACENCY_MAX_BYTES).
     """
     _check_n(n, "max_family")
     if n > OPTIMIZE_MAX_N and not accept_exponential:
         raise ValueError(
             f"max_family is exponential; n={n} needs accept_exponential=True"
         )
-    adjacency = _conflict_adjacency(cond, n)
-    vertex_count = 1 << n
-    universe = (1 << vertex_count) - 1
-    compatible = [
-        universe & ~adjacency[v] & ~(1 << v) for v in range(vertex_count)
-    ]
+    compatible, universe = _compatibility(cond, n, "max_family")
     incumbent = _greedy_family(compatible, n)
     size, bits = _max_compatible_clique(compatible, universe, incumbent)
     return size, FamilyMask(n, bits)
@@ -324,7 +339,8 @@ def max_chains_family(
 
     Adding a set never removes chains, so the maximum is attained by some
     maximal satisfying family; those are enumerated exhaustively.  Capped at
-    n <= 4 unless accept_exponential is set, and at n <= 20 always.
+    n <= 4 unless accept_exponential is set, and at n <= 16 always (the
+    adjacency bitsets would pass ADJACENCY_MAX_BYTES).
     """
     _check_n(n, "max_chains_family")
     if n > CHAIN_OPTIMIZE_MAX_N and not accept_exponential:
@@ -333,12 +349,7 @@ def max_chains_family(
         )
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
-    adjacency = _conflict_adjacency(cond, n)
-    vertex_count = 1 << n
-    universe = (1 << vertex_count) - 1
-    compatible = [
-        universe & ~adjacency[v] & ~(1 << v) for v in range(vertex_count)
-    ]
+    compatible, universe = _compatibility(cond, n, "max_chains_family")
     best_count = 0
     best_bits = 0
     for bits in _maximal_families(compatible, universe):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Callable
 
 from .binom import binomial, binomial_row
 from .conditions import (
@@ -229,6 +230,98 @@ def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) ->
             pool &= conflicts[u] & ~(1 << u)
         bound += clique_best
     return bound
+
+
+def _relaxation(cond: Condition, conflicts: tuple[int, ...]) -> Callable[[list[int], int], int]:
+    """fn(w, mask): the largest sum of w over allowed subsets of the levels in mask.
+
+    Exact for the named conditions and for nonnegative w; a custom table gets
+    the clique cover, which is at least that maximum.  The condition type is
+    resolved here, once, so the returned function does no dispatch.
+    """
+    if isinstance(cond, CustomPairwise):
+        return lambda w, mask: _clique_cover_bound(mask, conflicts, w)
+    if isinstance(cond, KatonaGap):
+        return _gap_relaxation(cond.k)
+    if isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
+        return _window_relaxation(conflicts)
+    raise TypeError(f"not a condition: {cond!r}")
+
+
+def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
+    # The conflict graph of KatonaGap(k) is a unit interval graph, so the
+    # best allowed set is a DP over the mask's levels in ascending order:
+    # best[h] = w[h] + the best allowed set ending at a level <= h - k.  The
+    # tail pointer walks the same levels behind h and releases each one into
+    # the running max once it is k below h.
+    def relax(w: list[int], mask: int) -> int:
+        best = [0] * len(w)
+        tail = mask
+        t = (tail & -tail).bit_length() - 1
+        done = top = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            h = low.bit_length() - 1
+            while t <= h - k:
+                if best[t] > done:
+                    done = best[t]
+                tail &= tail - 1
+                t = (tail & -tail).bit_length() - 1
+            value = w[h] + done
+            best[h] = value
+            if value > top:
+                top = value
+        return top
+
+    return relax
+
+
+def _window_relaxation(conflicts: tuple[int, ...]) -> Callable[[list[int], int], int]:
+    # Under Antichain, ErdosWindow and the ratio conditions a pair a < b
+    # conflicts iff b > top(a), and top never decreases (top(a) is a, a + k or
+    # floor((p*a - 1) / q), and 0 for level 0 under a ratio; it is read off
+    # the conflict masks below, clipped to the last level).  A set is then
+    # allowed iff its maximum is at most top(its minimum), so the mask levels
+    # whose top reaches the newest level h form an allowed window, and the
+    # best set with minimum m lies inside the window at the last level
+    # <= top(m).  The tail pointer t drops the window's levels whose top
+    # falls below h; top(h) >= h keeps it at or below h.
+    last = len(conflicts) - 1
+    tops = []
+    for a, mask in enumerate(conflicts):
+        above = mask >> (a + 1)
+        tops.append(a + (above & -above).bit_length() - 1 if above else last)
+
+    def relax(w: list[int], mask: int) -> int:
+        tail = mask
+        t = (tail & -tail).bit_length() - 1
+        reach = tops[t]
+        if mask.bit_length() - 1 <= reach:
+            # The whole mask is allowed, as the chain bound's masks below a
+            # level mostly are: its weight is the answer.
+            window = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                window += w[low.bit_length() - 1]
+            return window
+        window = top = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            h = low.bit_length() - 1
+            while reach < h:
+                window -= w[t]
+                tail &= tail - 1
+                t = (tail & -tail).bit_length() - 1
+                reach = tops[t]
+            window += w[h]
+            if window > top:
+                top = window
+        return top
+
+    return relax
 
 
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:

@@ -24,6 +24,7 @@ from chainweight import (
     window_chain_count,
 )
 from chainweight.chaincount import _chain_bound, _include
+from chainweight.levelbounds import _relaxation, size_bound
 
 
 def chains_by_enumeration(n, levels, ell):
@@ -215,6 +216,27 @@ def test_optimal_levels_match_reference_search(data, n, ell):
     assert (result.count, result.levels) == reference_optimal_levels_for_chains(n, cond, ell)
 
 
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.integers(0, 14))
+def test_relaxation_is_the_best_allowed_weight(data, n):
+    # Exact for the named conditions; at least the best for a custom table.
+    cond = data.draw(conditions_on(n))
+    conflicts = level_conflicts(cond, n)
+    w = data.draw(st.lists(st.integers(0, 10**6), min_size=n + 1, max_size=n + 1))
+    mask = data.draw(st.integers(0, (1 << (n + 1)) - 1))
+    best = max(sum(w[h] for h in levels) for levels in allowed_subsets(mask, conflicts))
+    value = _relaxation(cond, conflicts)(w, mask)
+    if isinstance(cond, CustomPairwise):
+        assert value >= best
+    else:
+        assert value == best
+
+
+def test_relaxation_rejects_non_conditions():
+    with pytest.raises(TypeError):
+        _relaxation("antichain", level_conflicts(Antichain(), 3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(0, 12), ell=st.integers(1, 4))
 def test_chain_bound_is_admissible(data, n, ell):
@@ -222,6 +244,7 @@ def test_chain_bound_is_admissible(data, n, ell):
     # the levels from the cut up that are compatible with every chosen level.
     cond = data.draw(conditions_on(n))
     conflicts = level_conflicts(cond, n)
+    relax = _relaxation(cond, conflicts)
     cut = data.draw(st.integers(0, n + 1))
     chosen = []
     compatible = (1 << (n + 1)) - 1
@@ -237,12 +260,41 @@ def test_chain_bound_is_admissible(data, n, ell):
     for h in chosen:
         sums, total = _include(rows, sums, total, h)
     assert total == count_chains_levels(n, chosen, ell)
-    assert _chain_bound(rows, conflicts, sums, total, 0) == total
+    assert _chain_bound(rows, conflicts, relax, sums, total, 0) == total
     best = max(
         count_chains_levels(n, chosen + extra, ell)
         for extra in allowed_subsets(avail, conflicts)
     )
-    assert _chain_bound(rows, conflicts, sums, total, avail) >= best
+    assert _chain_bound(rows, conflicts, relax, sums, total, avail) >= best
+
+
+NAMED_CONDITIONS = (
+    Antichain(),
+    ErdosWindow(1),
+    ErdosWindow(3),
+    KatonaGap(2),
+    KatonaGap(3),
+    KatonaGap(5),
+    RatioLambda(Fraction(3, 2)),
+    RatioLambda(Fraction(5, 2)),
+    IntegerRatio(2),
+    IntegerRatio(3),
+)
+
+
+@pytest.mark.parametrize("cond", NAMED_CONDITIONS, ids=repr)
+def test_single_chains_match_size_bound(cond):
+    # At ell = 1 the chain count of a level set is its weight, so the search
+    # must return size_bound's value and witness, and the root bound must
+    # already be that value: the relaxation is exact.
+    for n in (*range(41), 60, 100, 120):
+        expected = size_bound(n, cond)
+        result = optimal_levels_for_chains(n, cond, 1)
+        assert (result.count, result.levels) == (expected.value, expected.witness), n
+        conflicts = level_conflicts(cond, n)
+        rows = [binomial_row(h) for h in range(n + 1)]
+        root = _chain_bound(rows, conflicts, _relaxation(cond, conflicts), [], 0, (1 << (n + 1)) - 1)
+        assert root == expected.value, n
 
 
 def test_optimal_levels_witness_is_allowed():
@@ -269,13 +321,18 @@ def test_budget_exceeded_is_distinct():
 
 
 def test_node_budget_bounds_the_large_katona_search():
-    # The search at n=40 visits a few thousand nodes; a budget below that
-    # raises, and one above it returns the known witness.
+    # The search at n=40 visits a few dozen nodes; a budget below that
+    # raises, and one above it returns the known witness.  n=100 under a
+    # budget of 1000 guards the strength of the bound: with the clique cover
+    # it took 4,767 nodes at n=40 already.
     with pytest.raises(SearchBudgetExceeded):
-        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=1000)
-    result = optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=5000)
+        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=20)
+    result = optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=1000)
     assert result.levels == tuple(range(0, 41, 3))
     assert result.count == 1350851351169116164
+    result = optimal_levels_for_chains(100, KatonaGap(3), 2, node_budget=1000)
+    assert result.levels == tuple(range(0, 101, 3))
+    assert result.count == count_chains_levels(100, range(0, 101, 3), 2)
 
 
 def test_window_chain_count_examples():

@@ -200,6 +200,19 @@ def test_verify_past_the_family_cap_exits_1(capsys):
         assert "n <= 20" in capsys.readouterr().err
 
 
+def test_verify_past_the_adjacency_limit_exits_1(capsys, monkeypatch):
+    from chainweight import families
+
+    def no_build(cond, n):
+        raise AssertionError(f"adjacency built at n={n}")
+
+    monkeypatch.setattr(families, "_conflict_adjacency", no_build)
+    for extra in ([], ["--ell", "2"]):
+        argv = ["verify", "--n", "17", "--condition", "antichain", "--accept-exponential"]
+        assert main(argv + extra) == 1
+        assert "needs about 4 GiB" in capsys.readouterr().err
+
+
 def test_reproduce_fixed_witnesses():
     result = run_cli("--format", "json", "reproduce")
     assert result.returncode == 0, result.stderr

@@ -26,6 +26,7 @@ from chainweight import (
     size_bound,
 )
 from chainweight.conditions import _full_chain_indicators
+from chainweight import families
 from chainweight.families import _full_lattice_chains, _int64_safe
 from test_chaincount import conditions_on
 
@@ -504,6 +505,21 @@ def test_exponential_optimisers_stop_at_the_family_cap():
         max_chains_family(25, Antichain(), 2, accept_exponential=True)
     with pytest.raises(ValueError, match="n <= 20"):
         max_family(-1, Antichain())
+
+
+def test_exponential_optimisers_refuse_oversized_adjacency(monkeypatch):
+    # n = 17 would need about 4 GiB of adjacency bitsets; the estimate is
+    # refused before the build, which this test makes fail loudly instead.
+    def no_build(cond, n):
+        raise AssertionError(f"adjacency built at n={n}")
+
+    monkeypatch.setattr(families, "_conflict_adjacency", no_build)
+    with pytest.raises(ValueError, match="n=17 needs about 4 GiB"):
+        max_family(17, Antichain(), accept_exponential=True)
+    with pytest.raises(ValueError, match="n=17 needs about 4 GiB"):
+        max_chains_family(17, KatonaGap(2), 2, accept_exponential=True)
+    with pytest.raises(AssertionError, match="n=16"):
+        max_family(16, Antichain(), accept_exponential=True)
 
 
 def test_family_satisfies_agrees_with_chain_definition():
