@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable
 
 from .binom import binomial, binomial_row
@@ -128,7 +129,12 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
     """Largest total weight sum_{h in H} C(n, h) over level sets H allowed by cond.
 
     The witness is the lexicographically smallest maximizing level set,
-    compared as an ascending sequence.
+    compared as an ascending sequence.  The named conditions have exact
+    optimizers; a custom table is solved by branch and bound in two phases.
+    The first finds the optimum, branching on the heaviest levels first and
+    pruning with a clique cover.  The second builds the witness one level at
+    a time in ascending order, taking a level iff the same search over the
+    compatible levels above it still completes the optimum.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -326,27 +332,58 @@ def _window_relaxation(conflicts: tuple[int, ...]) -> Callable[[list[int], int],
 
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     conflicts = level_conflicts(cond, n)
-    w = binomial_row(n)
-    best_value = -1
-    best_witness: tuple[int, ...] = ()
+    row = binomial_row(n)
+    # Relabel: bit i stands for level order[i], heaviest first (ties by
+    # level), so the search decides the heavy levels first and each greedy
+    # clique of the cover starts from its heaviest level.  A conflict mask is
+    # permuted through its binary digits: character n - g of the padded
+    # string is level g, and the new mask is read most significant bit first.
+    order = sorted(range(n + 1), key=lambda h: (-row[h], h))
+    pos = [0] * (n + 1)
+    for i, h in enumerate(order):
+        pos[h] = i
+    w = [row[h] for h in order]
+    digits = itemgetter(*[n - h for h in reversed(order)])
+    masks = [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
 
-    # Levels are branched in ascending order with the include branch first,
-    # so the first maximizer reached is the lexicographically smallest one
-    # (weights are positive, hence no maximizer is a subset of another).
-    def dfs(avail: int, weight: int, chosen: list[int]) -> None:
-        nonlocal best_value, best_witness
-        if weight + _clique_cover_bound(avail, conflicts, w) <= best_value:
-            return
-        if avail == 0:
-            best_value = weight
-            best_witness = tuple(chosen)
-            return
-        h = (avail & -avail).bit_length() - 1
-        rest = avail & ~(1 << h)
-        chosen.append(h)
-        dfs(rest & ~conflicts[h], weight + w[h], chosen)
-        chosen.pop()
-        dfs(rest, weight, chosen)
+    def best(avail: int, floor: int) -> int:
+        # Largest weight of an allowed subset of avail if it exceeds floor,
+        # else floor: an include-first DFS pruned by the clique cover.
+        top = floor
 
-    dfs((1 << (n + 1)) - 1, 0, [])
-    return BoundResult(best_value, best_witness, METHOD_BRANCH_AND_BOUND)
+        def dfs(avail: int, weight: int) -> None:
+            nonlocal top
+            if weight + _clique_cover_bound(avail, masks, w) <= top:
+                return
+            if avail == 0:
+                top = weight
+                return
+            low = avail & -avail
+            i = low.bit_length() - 1
+            rest = avail ^ low
+            dfs(rest & ~masks[i], weight + w[i])
+            dfs(rest, weight)
+
+        dfs(avail, 0)
+        return top
+
+    # Phase 1 finds the optimum.  Phase 2 builds the lexicographically
+    # smallest maximizer, compared as an ascending sequence: walking the
+    # levels upwards, it takes level h iff the allowed levels above h that
+    # are compatible with the chosen ones and with h still complete the
+    # optimum.  Since value is the maximum, no available level outweighs need.
+    avail = (1 << (n + 1)) - 1
+    value = need = best(avail, -1)
+    witness = []
+    for h in range(n + 1):
+        if need == 0:
+            break
+        if not avail >> pos[h] & 1:
+            continue
+        avail ^= 1 << pos[h]
+        rest = avail & ~masks[pos[h]]
+        if best(rest, need - row[h] - 1) >= need - row[h]:
+            witness.append(h)
+            need -= row[h]
+            avail = rest
+    return BoundResult(value, tuple(witness), METHOD_BRANCH_AND_BOUND)

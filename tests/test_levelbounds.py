@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainweight import (
     Antichain,
@@ -13,17 +15,33 @@ from chainweight import (
     RatioLambda,
     allowed_levels,
     best_ratio_window,
+    binomial_row,
     erdos_bound,
     forbidden_pair,
     integer_ratio_levels,
     katona_bound,
+    level_conflicts,
     ratio_window_weight,
     residue_class_weights,
     size_bound,
     sperner_bound,
 )
+from chainweight.levelbounds import _clique_cover_bound
 
 RATIOS = [Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(5, 2)]
+
+TEN_NAMED = (
+    Antichain(),
+    ErdosWindow(1),
+    ErdosWindow(3),
+    KatonaGap(2),
+    KatonaGap(3),
+    KatonaGap(5),
+    RatioLambda(Fraction(3, 2)),
+    RatioLambda(Fraction(5, 2)),
+    IntegerRatio(2),
+    IntegerRatio(3),
+)
 
 
 def named_conditions(n):
@@ -47,6 +65,35 @@ def exhaustive_level_optimum(n, cond):
             if value > best_value or (value == best_value and levels < best_witness):
                 best_value = value
                 best_witness = levels
+    return best_value, best_witness
+
+
+def reference_branch_and_bound(n, cond):
+    # Reference oracle: the single-phase search size_bound used before.  It
+    # branches on levels in ascending order with the include branch first,
+    # so the first maximizer reached is the lexicographically smallest one
+    # (weights are positive, hence no maximizer is a subset of another).
+    conflicts = level_conflicts(cond, n)
+    w = binomial_row(n)
+    best_value = -1
+    best_witness = ()
+
+    def dfs(avail, weight, chosen):
+        nonlocal best_value, best_witness
+        if weight + _clique_cover_bound(avail, conflicts, w) <= best_value:
+            return
+        if avail == 0:
+            best_value = weight
+            best_witness = tuple(chosen)
+            return
+        h = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << h)
+        chosen.append(h)
+        dfs(rest & ~conflicts[h], weight + w[h], chosen)
+        chosen.pop()
+        dfs(rest, weight, chosen)
+
+    dfs((1 << (n + 1)) - 1, 0, [])
     return best_value, best_witness
 
 
@@ -83,13 +130,16 @@ def test_size_bound_matches_exhaustive_oracle():
 
 def test_size_bound_custom_branch_and_bound_matches_dp():
     # The same condition compiled to a table must give the same optimum and
-    # witness through the branch-and-bound route.
-    for n in (5, 9, 14):
-        for cond in named_conditions(5):
-            direct = size_bound(n, cond)
-            tabled = size_bound(n, as_custom(cond, n))
-            assert tabled.method == "branch-and-bound"
-            assert (tabled.value, tabled.witness) == (direct.value, direct.witness)
+    # witness through the branch-and-bound route.  The large tables guard
+    # the search's speed: reference_branch_and_bound takes about 20 s on
+    # KatonaGap(2) at n = 60, and this whole test under a second.
+    cases = [(n, cond) for n in (5, 9, 14) for cond in named_conditions(5)]
+    cases += [(n, cond) for n in (40, 60, 100, 120) for cond in TEN_NAMED]
+    for n, cond in cases:
+        direct = size_bound(n, cond)
+        tabled = size_bound(n, as_custom(cond, n))
+        assert tabled.method == "branch-and-bound"
+        assert (tabled.value, tabled.witness) == (direct.value, direct.witness), (n, cond)
 
 
 def test_size_bound_custom_oracle_small():
@@ -115,6 +165,18 @@ def test_size_bound_random_custom_tables():
         value, witness = exhaustive_level_optimum(n, cond)
         result = size_bound(n, cond)
         assert (result.value, result.witness) == (value, witness), (n, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_size_bound_custom_matches_reference_search(n, density, seed):
+    rng = random.Random(seed)
+    pairs = frozenset(
+        (a, b) for a in range(n + 1) for b in range(a + 1, n + 1) if rng.random() < density
+    )
+    cond = CustomPairwise(n, pairs)
+    result = size_bound(n, cond)
+    assert (result.value, result.witness) == reference_branch_and_bound(n, cond)
 
 
 def test_size_bound_degenerate_n0():
