@@ -164,6 +164,15 @@ def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     masks = [0] * (n + 1)
+    if isinstance(cond, CustomPairwise):
+        # Straight from the table: the pairs were checked when it was built.
+        if n > cond.n:
+            raise ValueError(f"size {cond.n + 1} exceeds the table range n={cond.n}")
+        for a, b in cond.forbidden:
+            if b <= n:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        return tuple(masks)
     for a in range(n + 1):
         for b in range(a + 1, n + 1):
             if forbidden_pair(cond, a, b):

@@ -1,12 +1,17 @@
 """Ground-truth oracles over explicit families of subsets of [n] at desk scale.
 
-Each check or count unpacks the family into one numpy bool array; numpy is
-imported inside those helpers, so the level-set code never loads it.
+A family is one packed Python int, bit s set iff subset mask s belongs to it.
+`from_levels` and `family_satisfies` work on that int directly, with one
+cached table of per-n masks, and `count_chains_family` runs its subset-sum
+transform on packed integer lanes at n <= 10 and whenever int64 could
+overflow.  numpy is imported only inside the int64 count for n > 10 and
+`members()`, so the level-set code and the small-n checks never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -23,11 +28,40 @@ CHAIN_OPTIMIZE_MAX_N = 4
 # The exact optimisers hold two lists of 2^n ints of 2^n bits: about
 # 2^(2n-2) bytes, so this admits n <= 16.
 ADJACENCY_MAX_BYTES = 1 << 30
+# Packed integer lanes beat numpy int64 for the chain count up to here.
+PACKED_COUNT_MAX_N = 10
 
 
 def _check_n(n: int, what: str) -> None:
     if not 0 <= n <= SATISFIES_MAX_N:
         raise ValueError(f"{what} needs 0 <= n <= {SATISFIES_MAX_N}, got n={n}")
+
+
+# One entry (about 5 MB at n = 20) keeps peak memory flat; a caller that
+# alternates n rebuilds it, about 0.4 ms at n = 17.
+@lru_cache(maxsize=1)
+def _masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(low, level) over the 2^n subset masks, as packed ints.
+
+    low[b] has bit s set iff bit b of s is clear (b < n); level[a] has bit s
+    set iff s has a elements (a <= n).
+    """
+    size = 1 << n
+    low = []
+    for b in range(n):
+        bits, period = (1 << (1 << b)) - 1, 2 << b
+        while period < size:
+            bits |= bits << period
+            period *= 2
+        low.append(bits)
+    # Doubling: the masks with bit k set are those without it, shifted by 2^k.
+    level = [1]
+    for k in range(n):
+        level = [
+            (level[a] if a <= k else 0) | (level[a - 1] << (1 << k) if a else 0)
+            for a in range(k + 2)
+        ]
+    return tuple(low), tuple(level)
 
 
 @dataclass(frozen=True, repr=False)
@@ -66,15 +100,15 @@ class FamilyMask:
     @classmethod
     def from_levels(cls, n: int, levels: Iterable[int]) -> "FamilyMask":
         """The union of the given full levels."""
-        import numpy as np
-
         _check_n(n, "FamilyMask")
         wanted = set(levels)
         if any(not 0 <= h <= n for h in wanted):
             raise ValueError(f"levels must lie in [0, {n}]")
-        chosen = np.zeros(n + 1, dtype=bool)
-        chosen[list(wanted)] = True
-        return cls(n, _bits(chosen[_popcounts(n)]))
+        level = _masks(n)[1]
+        bits = 0
+        for h in wanted:
+            bits |= level[h]
+        return cls(n, bits)
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "FamilyMask":
@@ -108,27 +142,9 @@ def _indicator(family: FamilyMask) -> np.ndarray:
     return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
-def _bits(indicator: np.ndarray) -> int:
-    import numpy as np
-
-    return int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(), "little")
-
-
-def _popcounts(n: int) -> np.ndarray:
-    # Doubling: popcount(2^b + m) = popcount(m) + 1.
-    import numpy as np
-
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    size = 1
-    while size < (1 << n):
-        sizes[size : 2 * size] = sizes[:size] + 1
-        size *= 2
-    return sizes
-
-
 def _subset_sum_inplace(arr: np.ndarray, n: int) -> None:
     # Standard subset-sum (zeta) transform: arr[s] becomes the sum over t
-    # subset of s; on a bool array + is OR, so it marks the supersets instead.
+    # subset of s.
     for b in range(n):
         step = 1 << b
         view = arr.reshape(-1, 2 * step)
@@ -137,20 +153,22 @@ def _subset_sum_inplace(arr: np.ndarray, n: int) -> None:
 
 def family_satisfies(family: FamilyMask, cond: Condition) -> bool:
     """True iff no strictly nested pair A < B inside the family has forbidden sizes."""
-    import numpy as np
-
     n = family.n
+    bits = family.bits
     conflicts = level_conflicts(cond, n)
-    indicator = _indicator(family)
-    sizes = _popcounts(n)
-    present = np.bincount(sizes[indicator], minlength=n + 1).nonzero()[0].tolist()
+    low, level = _masks(n)
+    present = [a for a in range(n + 1) if bits & level[a]]
     for a in present:
-        is_target = np.array([b > a and bool(conflicts[a] >> b & 1) for b in range(n + 1)])
-        if not is_target[present].any():
+        targets = [b for b in present if b > a and conflicts[a] >> b & 1]
+        if not targets:
             continue
-        above = indicator & (sizes == a)
-        _subset_sum_inplace(above, n)
-        if above[indicator & is_target[sizes]].any():
+        # Superset closure of the members of size a: OR in s + 2^b for every
+        # s in the closure with bit b clear.
+        closure = bits & level[a]
+        for b in range(n):
+            closure |= (closure & low[b]) << (1 << b)
+        closure &= bits
+        if any(closure & level[b] for b in targets):
             return False
     return True
 
@@ -174,17 +192,73 @@ def count_chains_family(family: FamilyMask, ell: int) -> int:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     if ell == 1:
         return family.size()
+    if ell > family.n + 1:
+        # A chain of distinct subsets of [n] has at most n + 1 members.
+        return 0
+    if family.n <= PACKED_COUNT_MAX_N or not _int64_safe(family.n, ell):
+        return _count_chains_packed(family, ell)
+    return _count_chains_int64(family, ell)
+
+
+@lru_cache(maxsize=4)
+def _spread_table(width: int) -> list[bytes]:
+    # table[byte]: eight lanes of `width` bytes, lane i holding bit i of byte.
+    one, zero = (1).to_bytes(width, "little"), bytes(width)
+    table = [b""]
+    for _ in range(8):
+        # Step k doubles the table; entry i gets lane k from bit k of i.
+        table = [t + zero for t in table] + [t + one for t in table]
+    return table
+
+
+def _count_chains_packed(family: FamilyMask, ell: int) -> int:
+    # The transform of the int64 count, on lane s of one packed int.  Every
+    # partial sum is at most the number of j-chains of the full lattice for
+    # some j <= ell, so lanes of that many bytes never carry into each other.
+    n = family.n
+    width = max(_full_lattice_chains(n, j) for j in range(1, ell + 1)).bit_length() + 7 >> 3
+    lane_bits = width << 3
+    table = _spread_table(width)
+    ones = int.from_bytes(
+        b"".join(map(table.__getitem__, family.bits.to_bytes((1 << n) + 7 >> 3, "little"))),
+        "little",
+    )
+    keep = ones * ((1 << lane_bits) - 1)
+    # current: lane s counts the chains of the current length with top s.
+    current = ones
+    for _ in range(ell - 1):
+        if not current:
+            return 0
+        # lanes: the lanes s with bit b of s clear, for b from n - 1 down;
+        # the mask for b - 1 is the one for b XOR itself shifted by 2^(b-1) lanes.
+        below, shift = current, lane_bits << n - 1
+        lanes = (1 << shift) - 1
+        while True:
+            below += (below & lanes) << shift
+            if shift == lane_bits:
+                break
+            shift >>= 1
+            lanes ^= lanes << shift
+        current = (below - current) & keep
+    # Halving fold: add the upper half of the lanes onto the lower half.
+    for b in reversed(range(n)):
+        shift = lane_bits << b
+        current = (current & ((1 << shift) - 1)) + (current >> shift)
+    return current
+
+
+def _count_chains_int64(family: FamilyMask, ell: int) -> int:
     import numpy as np
 
-    n = family.n
     indicator = _indicator(family)
     # current[s]: chains of the current length in the family with top s.
-    current = indicator.astype(np.int64 if _int64_safe(n, ell) else object)
+    current = indicator.astype(np.int64)
+    previous = np.empty_like(current)
     for _ in range(ell - 1):
         if not current.any():
             return 0
-        previous = current.copy()
-        _subset_sum_inplace(current, n)
+        previous[:] = current
+        _subset_sum_inplace(current, family.n)
         current -= previous
         current *= indicator
     return int(current.sum())

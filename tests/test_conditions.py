@@ -172,6 +172,29 @@ def test_level_conflicts_rejects_small_custom_table():
     cond = CustomPairwise(3, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         level_conflicts(cond, 5)
+    with pytest.raises(ValueError, match="size 4 exceeds the table range n=3"):
+        level_conflicts(cond, 4)
+
+
+def test_custom_level_conflicts_match_the_pairwise_loop():
+    # Custom tables compile straight from their pairs; the pairwise loop over
+    # forbidden_pair is the reference, also for n below the table's n.
+    import random
+
+    rng = random.Random(4242)
+    for table_n in (0, 1, 2, 5, 9, 17, 40):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            pairs = frozenset(
+                (a, b) for a, b in combinations(range(table_n + 1), 2) if rng.random() < density
+            )
+            cond = CustomPairwise(table_n, pairs)
+            for n in sorted({0, table_n // 3, table_n - 1, table_n} - {-1}):
+                expected = [0] * (n + 1)
+                for a, b in combinations(range(n + 1), 2):
+                    if forbidden_pair(cond, a, b):
+                        expected[a] |= 1 << b
+                        expected[b] |= 1 << a
+                assert level_conflicts(cond, n) == tuple(expected), (table_n, density, n)
 
 
 def fast_pairwise_predicate(cond, n):

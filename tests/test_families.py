@@ -27,7 +27,13 @@ from chainweight import (
 )
 from chainweight.conditions import _full_chain_indicators
 from chainweight import families
-from chainweight.families import _full_lattice_chains, _int64_safe
+from chainweight.families import (
+    _count_chains_int64,
+    _count_chains_packed,
+    _full_lattice_chains,
+    _int64_safe,
+    _masks,
+)
 from test_chaincount import conditions_on
 
 
@@ -65,9 +71,9 @@ def naive_chain_count(family, ell):
     return sum(extend(m, 1) for m in members)
 
 
-# Reference implementations: the bit-peeling, submask-scan and pure-int code
-# that families.py ran before it moved to one packed numpy indicator.  The
-# new paths are checked against them.
+# Reference implementations: the bit-peeling, submask-scan, numpy-transform
+# and pure-int code that families.py ran in earlier versions.  The packed-int
+# paths are checked against them.
 
 REFERENCE_SCAN_MAX_N = 12
 
@@ -87,6 +93,13 @@ def reference_from_levels(n, levels):
         if mask.bit_count() in wanted:
             bits |= 1 << mask
     return FamilyMask(n, bits)
+
+
+def reference_indicator(family):
+    # Linear in 2^n, unlike peeling one member at a time off a 2^n-bit int.
+    size = 1 << family.n
+    packed = np.frombuffer(family.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").astype(bool)
 
 
 def reference_popcounts(n):
@@ -119,9 +132,7 @@ def reference_family_satisfies(family, cond):
                     break
                 t = (t - 1) & s
         return True
-    indicator = np.zeros(1 << n, dtype=bool)
-    for s in reference_members(family):
-        indicator[s] = True
+    indicator = reference_indicator(family)
     sizes = reference_popcounts(n)
     present = sorted({int(v) for v in sizes[indicator]}) if family.bits else []
     for a in present:
@@ -177,10 +188,10 @@ def reference_count_chains_bigint(family, ell):
 
 
 @st.composite
-def families_up_to(draw, max_n):
+def families_up_to(draw, max_n, min_n=0):
     # Dense (density 1/2), sparse (1/32) or level-union families; the levels
     # come back too, for the from_levels check.
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(("dense", "sparse", "levels")))
     if kind == "levels":
         levels = draw(st.sets(st.integers(0, n)))
@@ -321,9 +332,9 @@ def test_family_oracles_match_reference(case, data):
     assert FamilyMask.from_hex(n, family.to_hex()) == family
 
 
-def test_count_chains_family_object_path_n19():
+def test_count_chains_family_packed_path_n19():
     # 11-chains of the full lattice at n = 19 overflow int64, so the count
-    # runs on Python ints.
+    # runs on packed lanes of 9 bytes.
     n, ell = 19, 11
     assert not _int64_safe(n, ell)
     expected = count_chains_levels(n, range(n + 1), ell)
@@ -342,17 +353,97 @@ def test_int64_guard_matches_full_lattice_counts():
     assert [_int64_safe(20, ell) for ell in (8, 9)] == [True, False]
 
 
+def test_count_chains_family_is_zero_past_n_plus_one(monkeypatch):
+    # A chain of distinct subsets of [n] has at most n + 1 members, so longer
+    # chains are counted as 0 before either transform runs.
+    def no_transform(family, ell):
+        raise AssertionError(f"transform ran at n={family.n}, ell={ell}")
+
+    monkeypatch.setattr(families, "_count_chains_packed", no_transform)
+    monkeypatch.setattr(families, "_count_chains_int64", no_transform)
+    for n in range(7):
+        for ell in range(n + 2, n + 6):
+            assert count_chains_levels(n, range(n + 1), ell) == 0
+            assert count_chains_family(FamilyMask.full(n), ell) == 0
+    with pytest.raises(AssertionError, match="n=6, ell=7"):
+        count_chains_family(FamilyMask.full(6), 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=families_up_to(13, min_n=6), data=st.data())
+def test_packed_count_matches_int64_count(case, data):
+    # Both private paths on the same family, across the n = 10/11 cut.
+    family, _ = case
+    n = family.n
+    ell = data.draw(st.integers(2, n + 1))
+    assert _int64_safe(n, ell)
+    assert _count_chains_packed(family, ell) == _count_chains_int64(family, ell)
+    expected = count_chains_family(family, ell)
+    assert _count_chains_packed(family, ell) == expected
+    if n <= 8 and ell <= 4:
+        assert expected == reference_count_chains_family(family, ell)
+
+
+def test_mask_table_matches_bit_tests():
+    for n in range(13):
+        low, level = _masks(n)
+        assert len(low) == n and len(level) == n + 1
+        for b, mask in enumerate(low):
+            assert mask >> (1 << n) == 0
+            assert all(bool(mask >> s & 1) == (not s >> b & 1) for s in range(1 << n))
+        for a, mask in enumerate(level):
+            assert mask >> (1 << n) == 0
+            assert all(bool(mask >> s & 1) == (s.bit_count() == a) for s in range(1 << n))
+
+
+def numpy_from_levels(n, levels):
+    indicator = np.isin(reference_popcounts(n), list(levels))
+    return FamilyMask(n, int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(), "little"))
+
+
+def test_family_satisfies_matches_reference_large_n():
+    # Seeded level unions and sparse families at n = 14..20, where the
+    # reference takes its numpy transform path.
+    import random
+
+    rng = random.Random(2020)
+    for n in range(14, 21):
+        cases = []
+        for _ in range(2 if n < 18 else 1):
+            levels = sorted(rng.sample(range(n + 1), rng.randint(2, 4)))
+            family = FamilyMask.from_levels(n, levels)
+            assert family == numpy_from_levels(n, levels)
+            cases.append(family)
+        bits = rng.getrandbits(1 << n)
+        for _ in range(4):
+            bits &= rng.getrandbits(1 << n)
+        cases.append(FamilyMask(n, bits))
+        for family in cases:
+            for cond in (Antichain(), KatonaGap(rng.randint(2, 8)), ErdosWindow(rng.randint(1, 4)),
+                         RatioLambda(Fraction(3, 2))):
+                assert family_satisfies(family, cond) == reference_family_satisfies(family, cond), (
+                    n, cond,
+                )
+
+
 def test_level_commands_do_not_import_numpy():
     code = (
         "import sys, chainweight\n"
         "from chainweight.cli import main\n"
         "chainweight.size_bound(12, chainweight.KatonaGap(3))\n"
         "chainweight.optimal_levels_for_chains(12, chainweight.KatonaGap(3), 2)\n"
+        "fam = chainweight.FamilyMask.from_levels(6, (1, 4))\n"
         "for argv in (['bound', '--n', '6', '--condition', 'katona:k=3'],\n"
-        "             ['verify', '--n', '5', '--condition', 'antichain']):\n"
+        "             ['verify', '--n', '5', '--condition', 'antichain'],\n"
+        "             ['reproduce'],\n"
+        "             ['verify', '--n', '6', '--condition', 'katona:k=3',\n"
+        "              '--family', fam.to_hex(), '--ell', '2']):\n"
         "    assert main(argv) == 0\n"
+        "big = chainweight.FamilyMask.from_levels(20, (3, 10, 17))\n"
+        "assert chainweight.family_satisfies(big, chainweight.KatonaGap(7))\n"
+        "assert not chainweight.family_satisfies(big, chainweight.Antichain())\n"
         "assert 'numpy' not in sys.modules\n"
-        "chainweight.family_satisfies(chainweight.FamilyMask.full(3), chainweight.Antichain())\n"
+        "chainweight.count_chains_family(chainweight.FamilyMask.full(12), 2)\n"
         "assert 'numpy' in sys.modules\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
