@@ -86,6 +86,9 @@ def optimal_levels_for_chains(
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     conflicts = level_conflicts(cond, n)
+    if ell > n + 1:
+        # A chain of distinct subsets of [n] has at most n + 1 members.
+        return ChainCountResult(0, (), ell)
     relax = _relaxation(cond, conflicts)
     rows = [binomial_row(h) for h in range(n + 1)]
     best_count = 0

@@ -107,21 +107,6 @@ def parse_condition(text: str) -> Condition:
         raise UsageError(f"bad condition '{text}': {exc}") from exc
 
 
-def condition_to_string(cond: Condition) -> str:
-    for name, (kind, key) in CONDITION_GRAMMAR.items():
-        if type(cond) is kind:
-            break
-    else:
-        raise TypeError(f"not a condition: {cond!r}")
-    if key is None:
-        return name
-    if key == "file":
-        return f"{name}:n={cond.n}:pairs={len(cond.forbidden)}"
-    if key == "lambda":  # p/q even for whole ratios: the parser needs the slash
-        return f"{name}:lambda={cond.ratio.numerator}/{cond.ratio.denominator}"
-    return f"{name}:{key}={getattr(cond, key)}"
-
-
 def _parse_int(text: str) -> int:
     try:
         return int(text)

@@ -2,7 +2,8 @@
 
 A family is one packed Python int, bit s set iff subset mask s belongs to it.
 `from_levels` and `family_satisfies` work on that int directly, with one
-cached table of per-n masks, and `count_chains_family` runs its subset-sum
+cached table of per-n masks; the exact optimisers build their compatibility
+graph from the same level masks, and `count_chains_family` runs its subset-sum
 transform on packed integer lanes at n <= 10 and whenever int64 could
 overflow.  numpy is imported only inside the int64 count for n > 10 and
 `members()`, so the level-set code and the small-n checks never load it.
@@ -25,8 +26,9 @@ if TYPE_CHECKING:
 SATISFIES_MAX_N = 20
 OPTIMIZE_MAX_N = 7
 CHAIN_OPTIMIZE_MAX_N = 4
-# The exact optimisers hold two lists of 2^n ints of 2^n bits: about
-# 2^(2n-2) bytes, so this admits n <= 16.
+# The exact optimisers hold one list of 2^n ints of 2^n bits and a list of
+# subset bitsets half its size, under an estimate of 2^(2n-2) bytes, so this
+# admits n <= 16.
 ADJACENCY_MAX_BYTES = 1 << 30
 # Packed integer lanes beat numpy int64 for the chain count up to here.
 PACKED_COUNT_MAX_N = 10
@@ -264,25 +266,8 @@ def _count_chains_int64(family: FamilyMask, ell: int) -> int:
     return int(current.sum())
 
 
-def _conflict_adjacency(cond: Condition, n: int) -> list[int]:
-    # adjacency[s] has bit t set iff {t, s} is a nested pair with forbidden sizes
-    conflicts = level_conflicts(cond, n)
-    adjacency = [0] * (1 << n)
-    for s in range(1 << n):
-        below = conflicts[s.bit_count()]
-        t = (s - 1) & s
-        while True:
-            if below >> t.bit_count() & 1:
-                adjacency[s] |= 1 << t
-                adjacency[t] |= 1 << s
-            if t == 0:
-                break
-            t = (t - 1) & s
-    return adjacency
-
-
 def _compatibility(cond: Condition, n: int, what: str) -> tuple[list[int], int]:
-    # compatible[v] has bit t set iff t != v and {t, v} is not a forbidden
+    # compatible[s] has bit t set iff t != s and {t, s} is not a forbidden
     # nested pair; returned with the all-vertices mask.  The size estimate
     # is checked before anything is allocated.
     estimate = (1 << 2 * n) // 4
@@ -291,9 +276,24 @@ def _compatibility(cond: Condition, n: int, what: str) -> tuple[list[int], int]:
             f"{what} at n={n} needs about {estimate / 2**30:g} GiB of adjacency "
             f"bitsets, over the {ADJACENCY_MAX_BYTES / 2**30:g} GiB limit"
         )
-    adjacency = _conflict_adjacency(cond, n)
+    conflicts = level_conflicts(cond, n)
+    level = _masks(n)[1]
+    # near[k]: the subsets whose size conflicts with k, never k itself (the
+    # level masks are disjoint, so their sum is their union).
+    near = [sum(level[a] for a in range(n + 1) if row >> a & 1) for row in conflicts]
+    # sub[s]: the subsets of s, from those of s minus its top element.
+    sub = [1]
+    for s in range(1, 1 << n):
+        top = 1 << s.bit_length() - 1
+        rest = sub[s ^ top]
+        sub.append(rest | rest << top)
+    full = (1 << n) - 1
     universe = (1 << (1 << n)) - 1
-    compatible = [universe & ~adj & ~(1 << v) for v, adj in enumerate(adjacency)]
+    # The supersets of s are s + u for u a subset of full - s.
+    compatible = [
+        universe ^ (1 << s) ^ ((sub[s] | sub[full ^ s] << s) & near[s.bit_count()])
+        for s in range(1 << n)
+    ]
     return compatible, universe
 
 
@@ -305,7 +305,7 @@ def max_family(
     Branch and bound over the 2^n-vertex conflict graph whose edges are the
     forbidden nested pairs; families are its independent sets.  Capped at
     n <= 7 unless accept_exponential is set, and at n <= 16 always (the
-    adjacency bitsets would pass ADJACENCY_MAX_BYTES).
+    compatibility and subset bitsets would pass ADJACENCY_MAX_BYTES).
     """
     _check_n(n, "max_family")
     if n > OPTIMIZE_MAX_N and not accept_exponential:
@@ -414,7 +414,7 @@ def max_chains_family(
     Adding a set never removes chains, so the maximum is attained by some
     maximal satisfying family; those are enumerated exhaustively.  Capped at
     n <= 4 unless accept_exponential is set, and at n <= 16 always (the
-    adjacency bitsets would pass ADJACENCY_MAX_BYTES).
+    compatibility and subset bitsets would pass ADJACENCY_MAX_BYTES).
     """
     _check_n(n, "max_chains_family")
     if n > CHAIN_OPTIMIZE_MAX_N and not accept_exponential:

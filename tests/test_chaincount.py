@@ -24,6 +24,7 @@ from chainweight import (
     optimal_levels_for_chains,
     window_chain_count,
 )
+from chainweight import chaincount
 from chainweight.chaincount import _chain_bound, _include
 from chainweight.levelbounds import _relaxation, size_bound
 
@@ -215,6 +216,23 @@ def test_optimal_levels_match_reference_search(data, n, ell):
     cond = data.draw(conditions_on(n))
     result = optimal_levels_for_chains(n, cond, ell)
     assert (result.count, result.levels) == reference_optimal_levels_for_chains(n, cond, ell)
+
+
+def test_optimal_levels_are_empty_past_n_plus_one(monkeypatch):
+    # A chain of distinct subsets of [n] has at most n + 1 members, so the
+    # search answers (0, ()) before it starts; the reference search agrees.
+    def no_search(*args):
+        raise AssertionError("level search ran")
+
+    monkeypatch.setattr(chaincount, "_chain_bound", no_search)
+    for n in range(7):
+        table = CustomPairwise(n, frozenset((a, a + 2) for a in range(n - 1)))
+        for cond in (Antichain(), ErdosWindow(1), KatonaGap(2), RatioLambda(Fraction(3, 2)),
+                     IntegerRatio(2), table):
+            for ell in range(n + 2, n + 5):
+                result = optimal_levels_for_chains(n, cond, ell)
+                assert (result.count, result.levels, result.ell) == (0, (), ell)
+                assert reference_optimal_levels_for_chains(n, cond, ell) == (0, ())
 
 
 @settings(max_examples=500, deadline=None)

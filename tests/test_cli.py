@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from chainweight.cli import condition_to_string, main, parse_condition
+from chainweight.cli import main, parse_condition
 
 
 def run_cli(*argv):
@@ -49,14 +49,20 @@ def test_parse_condition_errors_name_the_token():
             parse_condition(token)
 
 
-def test_condition_string_roundtrip():
-    for text in (
-        "antichain", "erdos:k=2", "katona:k=5", "ratio:lambda=3/2", "ratio:lambda=2/1",
-        "intratio:c=4",
+def test_condition_strings_parse():
+    from fractions import Fraction
+
+    from chainweight import Antichain, ErdosWindow, IntegerRatio, KatonaGap, RatioLambda
+
+    for text, cond in (
+        ("antichain", Antichain()),
+        ("erdos:k=2", ErdosWindow(2)),
+        ("katona:k=5", KatonaGap(5)),
+        ("ratio:lambda=3/2", RatioLambda(Fraction(3, 2))),
+        ("ratio:lambda=2/1", RatioLambda(Fraction(2, 1))),
+        ("intratio:c=4", IntegerRatio(4)),
     ):
-        cond = parse_condition(text)
-        assert condition_to_string(cond) == text
-        assert parse_condition(condition_to_string(cond)) == cond
+        assert parse_condition(text) == cond
 
 
 def test_bound_command_json():
@@ -206,11 +212,26 @@ def test_verify_past_the_adjacency_limit_exits_1(capsys, monkeypatch):
     def no_build(cond, n):
         raise AssertionError(f"adjacency built at n={n}")
 
-    monkeypatch.setattr(families, "_conflict_adjacency", no_build)
+    monkeypatch.setattr(families, "level_conflicts", no_build)
     for extra in ([], ["--ell", "2"]):
         argv = ["verify", "--n", "17", "--condition", "antichain", "--accept-exponential"]
         assert main(argv + extra) == 1
         assert "needs about 4 GiB" in capsys.readouterr().err
+
+
+def test_chains_past_n_plus_one_answers_without_searching(capsys, monkeypatch):
+    from chainweight import chaincount
+
+    def no_search(*args):
+        raise AssertionError("level search ran")
+
+    monkeypatch.setattr(chaincount, "_chain_bound", no_search)
+    argv = ["--format", "json", "chains", "--n", "10", "--condition", "antichain",
+            "--ell", "1000000000"]
+    assert main(argv) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["value"] == "0"
+    assert outputs["witness"] == []
 
 
 def test_reproduce_fixed_witnesses():

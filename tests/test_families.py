@@ -187,6 +187,26 @@ def reference_count_chains_bigint(family, ell):
     return sum(current)
 
 
+def reference_compatibility(cond, n):
+    # The optimisers' graph build before the level masks: a 3^n submask loop
+    # into conflict adjacency bitsets, then their complements.
+    conflicts = level_conflicts(cond, n)
+    adjacency = [0] * (1 << n)
+    for s in range(1 << n):
+        below = conflicts[s.bit_count()]
+        t = (s - 1) & s
+        while True:
+            if below >> t.bit_count() & 1:
+                adjacency[s] |= 1 << t
+                adjacency[t] |= 1 << s
+            if t == 0:
+                break
+            t = (t - 1) & s
+    universe = (1 << (1 << n)) - 1
+    compatible = [universe & ~adj & ~(1 << v) for v, adj in enumerate(adjacency)]
+    return compatible, universe
+
+
 @st.composite
 def families_up_to(draw, max_n, min_n=0):
     # Dense (density 1/2), sparse (1/32) or level-union families; the levels
@@ -600,17 +620,24 @@ def test_exponential_optimisers_stop_at_the_family_cap():
 
 def test_exponential_optimisers_refuse_oversized_adjacency(monkeypatch):
     # n = 17 would need about 4 GiB of adjacency bitsets; the estimate is
-    # refused before the build, which this test makes fail loudly instead.
+    # refused before the build, whose first call this test makes fail loudly.
     def no_build(cond, n):
         raise AssertionError(f"adjacency built at n={n}")
 
-    monkeypatch.setattr(families, "_conflict_adjacency", no_build)
+    monkeypatch.setattr(families, "level_conflicts", no_build)
     with pytest.raises(ValueError, match="n=17 needs about 4 GiB"):
         max_family(17, Antichain(), accept_exponential=True)
     with pytest.raises(ValueError, match="n=17 needs about 4 GiB"):
         max_chains_family(17, KatonaGap(2), 2, accept_exponential=True)
     with pytest.raises(AssertionError, match="n=16"):
         max_family(16, Antichain(), accept_exponential=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 9))
+def test_compatibility_matches_reference(data, n):
+    cond = data.draw(conditions_on(n))
+    assert families._compatibility(cond, n, "test") == reference_compatibility(cond, n)
 
 
 def test_family_satisfies_agrees_with_chain_definition():
