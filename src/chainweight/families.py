@@ -2,11 +2,13 @@
 
 A family is one packed Python int, bit s set iff subset mask s belongs to it.
 `from_levels` and `family_satisfies` work on that int directly, with one
-cached table of per-n masks; the exact optimisers build their compatibility
-graph from the same level masks, and `count_chains_family` runs its subset-sum
-transform on packed integer lanes at n <= 10 and whenever int64 could
-overflow.  numpy is imported only inside the int64 count for n > 10 and
-`members()`, so the level-set code and the small-n checks never load it.
+cached mask table per n; the exact optimisers build their compatibility graph
+from the same level masks.  `count_chains_family` runs its subset-sum
+transform in the narrowest exact width that the full lattice's chain counts
+allow: packed integer lanes at n <= 10 and whenever int64 could overflow,
+otherwise a numpy int32 or int64 array.  numpy is imported only inside that
+array count (n > 10) and `members()`, so the level-set code and the small-n
+checks never load it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ CHAIN_OPTIMIZE_MAX_N = 4
 # subset bitsets half its size, under an estimate of 2^(2n-2) bytes, so this
 # admits n <= 16.
 ADJACENCY_MAX_BYTES = 1 << 30
-# Packed integer lanes beat numpy int64 for the chain count up to here.
+# Packed integer lanes beat a numpy array for the chain count up to here.
 PACKED_COUNT_MAX_N = 10
+# Subset-sum passes whose rows are shorter than this run one strided add per
+# column, each over 2^n / (2 step) elements, instead of one add whose inner
+# loop covers only `step` elements.  Timed over n = 11..17 in int32 and int64
+# (cuts 1..64): 16 was best from n = 14 on, taking 40-55% off the transform at
+# n = 16..17, and within 10 us of the best cut (8) below that.  At n = 19..20,
+# where the array outgrows the caches, 8 was up to 15% faster than 16.
+COLUMN_PASS_MAX_STEP = 16
 
 
 def _check_n(n: int, what: str) -> None:
@@ -39,9 +48,10 @@ def _check_n(n: int, what: str) -> None:
         raise ValueError(f"{what} needs 0 <= n <= {SATISFIES_MAX_N}, got n={n}")
 
 
-# One entry (about 5 MB at n = 20) keeps peak memory flat; a caller that
-# alternates n rebuilds it, about 0.4 ms at n = 17.
-@lru_cache(maxsize=1)
+# One table per n, so callers that alternate n never rebuild: 0.56 MB at
+# n = 17 and about 5 MB at n = 20; every n <= 17 together take about 1 MB,
+# every n <= 20 about 9.6 MB.
+@lru_cache(maxsize=SATISFIES_MAX_N + 1)
 def _masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(low, level) over the 2^n subset masks, as packed ints.
 
@@ -146,11 +156,16 @@ def _indicator(family: FamilyMask) -> np.ndarray:
 
 def _subset_sum_inplace(arr: np.ndarray, n: int) -> None:
     # Standard subset-sum (zeta) transform: arr[s] becomes the sum over t
-    # subset of s.
+    # subset of s.  Each row of `view` holds 2 step masks, those in its upper
+    # half with bit b set.
     for b in range(n):
         step = 1 << b
         view = arr.reshape(-1, 2 * step)
-        view[:, step:] += view[:, :step]
+        if step < COLUMN_PASS_MAX_STEP:
+            for i in range(step):
+                view[:, step + i] += view[:, i]
+        else:
+            view[:, step:] += view[:, :step]
 
 
 def family_satisfies(family: FamilyMask, cond: Condition) -> bool:
@@ -182,10 +197,20 @@ def _full_lattice_chains(n: int, j: int) -> int:
     return sum((-1) ** i * comb(j - 1, i) * (j + 1 - i) ** n for i in range(j))
 
 
-def _int64_safe(n: int, ell: int) -> bool:
-    # Every entry of the ell-chain count transform is at most the number of
-    # j-chains of the full lattice for some j <= ell; none past j = n + 1.
-    return all(_full_lattice_chains(n, j) < 2**63 for j in range(1, min(ell, n + 1) + 1))
+def _lattice_chain_bound(n: int, ell: int) -> int:
+    # Every entry and partial sum of the ell-chain count transform, and the
+    # count itself, is at most the number of j-chains of the full lattice for
+    # some j <= ell (none past j = n + 1).
+    return max(_full_lattice_chains(n, j) for j in range(1, ell + 1))
+
+
+def _count_dtype(n: int, bound: int) -> str | None:
+    # The narrowest exact numpy dtype for a transform whose values stay at
+    # most `bound`, or None for packed integer lanes: those win at small n
+    # and are the only exact choice past int64.
+    if n <= PACKED_COUNT_MAX_N or bound >= 2**63:
+        return None
+    return "int32" if bound < 2**31 else "int64"
 
 
 def count_chains_family(family: FamilyMask, ell: int) -> int:
@@ -197,9 +222,11 @@ def count_chains_family(family: FamilyMask, ell: int) -> int:
     if ell > family.n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return 0
-    if family.n <= PACKED_COUNT_MAX_N or not _int64_safe(family.n, ell):
-        return _count_chains_packed(family, ell)
-    return _count_chains_int64(family, ell)
+    bound = _lattice_chain_bound(family.n, ell)
+    dtype = _count_dtype(family.n, bound)
+    if dtype is None:
+        return _count_chains_packed(family, ell, bound)
+    return _count_chains_array(family, ell, dtype)
 
 
 @lru_cache(maxsize=4)
@@ -213,12 +240,12 @@ def _spread_table(width: int) -> list[bytes]:
     return table
 
 
-def _count_chains_packed(family: FamilyMask, ell: int) -> int:
-    # The transform of the int64 count, on lane s of one packed int.  Every
-    # partial sum is at most the number of j-chains of the full lattice for
-    # some j <= ell, so lanes of that many bytes never carry into each other.
+def _count_chains_packed(family: FamilyMask, ell: int, bound: int) -> int:
+    # The transform of the array count, on lane s of one packed int.  Every
+    # partial sum is at most `bound` (`_lattice_chain_bound`), so lanes of
+    # that many bytes never carry into each other.
     n = family.n
-    width = max(_full_lattice_chains(n, j) for j in range(1, ell + 1)).bit_length() + 7 >> 3
+    width = bound.bit_length() + 7 >> 3
     lane_bits = width << 3
     table = _spread_table(width)
     ones = int.from_bytes(
@@ -249,12 +276,13 @@ def _count_chains_packed(family: FamilyMask, ell: int) -> int:
     return current
 
 
-def _count_chains_int64(family: FamilyMask, ell: int) -> int:
+def _count_chains_array(family: FamilyMask, ell: int, dtype: str) -> int:
+    # dtype must hold `_lattice_chain_bound(family.n, ell)`; see `_count_dtype`.
     import numpy as np
 
     indicator = _indicator(family)
     # current[s]: chains of the current length in the family with top s.
-    current = indicator.astype(np.int64)
+    current = indicator.astype(dtype)
     previous = np.empty_like(current)
     for _ in range(ell - 1):
         if not current.any():
@@ -263,20 +291,23 @@ def _count_chains_int64(family: FamilyMask, ell: int) -> int:
         _subset_sum_inplace(current, family.n)
         current -= previous
         current *= indicator
-    return int(current.sum())
+    return int(current.sum(dtype=np.int64))
 
 
-def _compatibility(cond: Condition, n: int, what: str) -> tuple[list[int], int]:
-    # compatible[s] has bit t set iff t != s and {t, s} is not a forbidden
-    # nested pair; returned with the all-vertices mask.  The size estimate
-    # is checked before anything is allocated.
+def _check_adjacency(n: int, what: str) -> None:
+    # The optimisers' size estimate, checked before anything is allocated.
     estimate = (1 << 2 * n) // 4
     if estimate > ADJACENCY_MAX_BYTES:
         raise ValueError(
             f"{what} at n={n} needs about {estimate / 2**30:g} GiB of adjacency "
             f"bitsets, over the {ADJACENCY_MAX_BYTES / 2**30:g} GiB limit"
         )
-    conflicts = level_conflicts(cond, n)
+
+
+def _compatibility(conflicts: tuple[int, ...], n: int) -> tuple[list[int], int]:
+    # compatible[s] has bit t set iff t != s and {t, s} is not a forbidden
+    # nested pair (per `level_conflicts`); returned with the all-vertices
+    # mask.  Callers run `_check_adjacency` first.
     level = _masks(n)[1]
     # near[k]: the subsets whose size conflicts with k, never k itself (the
     # level masks are disjoint, so their sum is their union).
@@ -312,7 +343,8 @@ def max_family(
         raise ValueError(
             f"max_family is exponential; n={n} needs accept_exponential=True"
         )
-    compatible, universe = _compatibility(cond, n, "max_family")
+    _check_adjacency(n, "max_family")
+    compatible, universe = _compatibility(level_conflicts(cond, n), n)
     incumbent = _greedy_family(compatible, n)
     size, bits = _max_compatible_clique(compatible, universe, incumbent)
     return size, FamilyMask(n, bits)
@@ -423,7 +455,15 @@ def max_chains_family(
         )
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
-    compatible, universe = _compatibility(cond, n, "max_chains_family")
+    _check_adjacency(n, "max_chains_family")
+    # Compiled ahead of the early return too, so a condition that cannot
+    # apply at n is refused either way.
+    conflicts = level_conflicts(cond, n)
+    if ell > n + 1:
+        # No family has an ell-chain, so the empty family is the witness, as
+        # the search below would find after enumerating every maximal family.
+        return 0, FamilyMask(n, 0)
+    compatible, universe = _compatibility(conflicts, n)
     best_count = 0
     best_bits = 0
     for bits in _maximal_families(compatible, universe):

@@ -28,11 +28,14 @@ from chainweight import (
 from chainweight.conditions import _full_chain_indicators
 from chainweight import families
 from chainweight.families import (
-    _count_chains_int64,
+    COLUMN_PASS_MAX_STEP,
+    _count_chains_array,
     _count_chains_packed,
+    _count_dtype,
     _full_lattice_chains,
-    _int64_safe,
+    _lattice_chain_bound,
     _masks,
+    _subset_sum_inplace,
 )
 from test_chaincount import conditions_on
 
@@ -112,6 +115,7 @@ def reference_popcounts(n):
 
 
 def reference_subset_sum(arr, n):
+    # One row-slice add per pass, whatever the row length.
     for b in range(n):
         step = 1 << b
         view = arr.reshape(-1, 2 * step)
@@ -356,31 +360,90 @@ def test_count_chains_family_packed_path_n19():
     # 11-chains of the full lattice at n = 19 overflow int64, so the count
     # runs on packed lanes of 9 bytes.
     n, ell = 19, 11
-    assert not _int64_safe(n, ell)
+    assert _count_dtype(n, _lattice_chain_bound(n, ell)) is None
     expected = count_chains_levels(n, range(n + 1), ell)
     assert expected > 2**63
     assert count_chains_family(FamilyMask.full(n), ell) == expected
 
 
+def count_width(n, ell):
+    # The transform width count_chains_family picks: None for packed lanes.
+    return _count_dtype(n, _lattice_chain_bound(n, ell))
+
+
 def test_int64_guard_matches_full_lattice_counts():
+    # The width chooser against the full lattice's chain counts: int32 below
+    # 2^31, int64 below 2^63, packed lanes past that and at n <= 10.
     for n in range(0, 21):
         full = [count_chains_levels(n, range(n + 1), j) for j in range(1, n + 4)]
         assert [_full_lattice_chains(n, j) for j in range(1, n + 4)] == full
         for ell in range(1, n + 4):
-            assert _int64_safe(n, ell) == (max(full[:ell]) < 2**63)
-    assert all(_int64_safe(n, ell) for n in range(19) for ell in range(1, 30))
-    assert [_int64_safe(19, ell) for ell in (10, 11)] == [True, False]
-    assert [_int64_safe(20, ell) for ell in (8, 9)] == [True, False]
+            bound = max(full[:ell])
+            assert _lattice_chain_bound(n, ell) == bound
+            if n <= 10 or bound >= 2**63:
+                expected = None
+            else:
+                expected = "int32" if bound < 2**31 else "int64"
+            assert count_width(n, ell) == expected
+    assert all(_lattice_chain_bound(n, ell) < 2**63 for n in range(19) for ell in range(1, 30))
+    assert all(count_width(n, ell) for n in range(11, 19) for ell in range(1, 30))
+    assert [count_width(19, ell) for ell in (10, 11)] == ["int64", None]
+    assert [count_width(20, ell) for ell in (8, 9)] == ["int64", None]
+    assert [count_width(15, 3), count_width(16, 3)] == ["int32", "int64"]
+
+
+def test_count_chains_family_full_lattice_across_widths():
+    # The full family holds the most chains, so an int32 overflow anywhere
+    # in n = 11..18 would show here.
+    for n in range(11, 19):
+        full = FamilyMask.full(n)
+        for ell in range(2, 6):
+            assert count_chains_family(full, ell) == _full_lattice_chains(n, ell), (n, ell)
+
+
+def test_array_count_matches_packed_across_int32_cut():
+    # At ell = 3, n = 15 runs in int32 and n = 16 in int64; seeded dense and
+    # sparse families on both sides of the cut.
+    import random
+
+    rng = random.Random(1516)
+    for n in (15, 16):
+        bound = _lattice_chain_bound(n, 3)
+        for density_rounds in (0, 3):
+            bits = rng.getrandbits(1 << n)
+            for _ in range(density_rounds):
+                bits &= rng.getrandbits(1 << n)
+            family = FamilyMask(n, bits)
+            expected = _count_chains_packed(family, 3, bound)
+            assert count_chains_family(family, 3) == expected
+            assert _count_chains_array(family, 3, "int64") == expected
+            if bound < 2**31:
+                assert _count_chains_array(family, 3, "int32") == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 14), data=st.data())
+def test_subset_sum_matches_reference(n, data):
+    # n = 14 has passes on both sides of COLUMN_PASS_MAX_STEP; the values are
+    # small enough that no sum wraps.
+    assert 1 <= COLUMN_PASS_MAX_STEP <= 1 << 13
+    rng = data.draw(st.randoms(use_true_random=False))
+    values = np.array([rng.randint(-(2**40), 2**40) for _ in range(1 << n)], dtype=np.int64)
+    expected = values.copy()
+    reference_subset_sum(expected, n)
+    got = values.copy()
+    _subset_sum_inplace(got, n)
+    assert np.array_equal(got, expected)
 
 
 def test_count_chains_family_is_zero_past_n_plus_one(monkeypatch):
     # A chain of distinct subsets of [n] has at most n + 1 members, so longer
     # chains are counted as 0 before either transform runs.
-    def no_transform(family, ell):
+    def no_transform(family, ell, width):
         raise AssertionError(f"transform ran at n={family.n}, ell={ell}")
 
     monkeypatch.setattr(families, "_count_chains_packed", no_transform)
-    monkeypatch.setattr(families, "_count_chains_int64", no_transform)
+    monkeypatch.setattr(families, "_count_chains_array", no_transform)
     for n in range(7):
         for ell in range(n + 2, n + 6):
             assert count_chains_levels(n, range(n + 1), ell) == 0
@@ -396,10 +459,13 @@ def test_packed_count_matches_int64_count(case, data):
     family, _ = case
     n = family.n
     ell = data.draw(st.integers(2, n + 1))
-    assert _int64_safe(n, ell)
-    assert _count_chains_packed(family, ell) == _count_chains_int64(family, ell)
+    bound = _lattice_chain_bound(n, ell)
+    assert bound < 2**63
     expected = count_chains_family(family, ell)
-    assert _count_chains_packed(family, ell) == expected
+    assert _count_chains_packed(family, ell, bound) == expected
+    assert _count_chains_array(family, ell, "int64") == expected
+    if bound < 2**31:
+        assert _count_chains_array(family, ell, "int32") == expected
     if n <= 8 and ell <= 4:
         assert expected == reference_count_chains_family(family, ell)
 
@@ -414,6 +480,19 @@ def test_mask_table_matches_bit_tests():
         for a, mask in enumerate(level):
             assert mask >> (1 << n) == 0
             assert all(bool(mask >> s & 1) == (s.bit_count() == a) for s in range(1 << n))
+
+
+def test_mask_tables_are_kept_per_n():
+    # A caller alternating n = 12 and 17 builds each table once.
+    families._masks.cache_clear()
+    for _ in range(3):
+        for n in (12, 17):
+            family = FamilyMask.from_levels(n, (2, 5))
+            assert family_satisfies(family, Antichain()) is False
+            assert family_satisfies(family, KatonaGap(3)) is True
+    info = families._masks.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.maxsize == families.SATISFIES_MAX_N + 1
 
 
 def numpy_from_levels(n, levels):
@@ -607,6 +686,33 @@ def test_max_chains_family_cap():
         max_chains_family(5, Antichain(), 2)
 
 
+def test_max_chains_family_past_n_plus_one_skips_the_search(monkeypatch):
+    # No family of subsets of [n] has a chain of n + 2 sets, so the answer is
+    # (0, empty family) without enumerating; every refusal still comes first.
+    def no_search(compatible, universe):
+        raise AssertionError("maximal families enumerated")
+
+    monkeypatch.setattr(families, "_maximal_families", no_search)
+    for n in range(0, 7):
+        for ell in (n + 2, n + 5):
+            assert max_chains_family(n, KatonaGap(2), ell, accept_exponential=True) == (
+                0, FamilyMask(n, 0),
+            )
+    assert max_chains_family(3, Antichain(), 5) == (0, FamilyMask.empty(3))
+    with pytest.raises(AssertionError, match="enumerated"):
+        max_chains_family(3, Antichain(), 4)
+    with pytest.raises(ValueError, match="n <= 20"):
+        max_chains_family(21, Antichain(), 30, accept_exponential=True)
+    with pytest.raises(ValueError, match="accept_exponential"):
+        max_chains_family(6, Antichain(), 8)
+    with pytest.raises(ValueError, match="positive integer"):
+        max_chains_family(3, Antichain(), 0)
+    with pytest.raises(ValueError, match="n=17 needs about 4 GiB"):
+        max_chains_family(17, Antichain(), 19, accept_exponential=True)
+    with pytest.raises(ValueError, match="table range"):
+        max_chains_family(4, CustomPairwise(3, frozenset({(0, 2)})), 6)
+
+
 def test_exponential_optimisers_stop_at_the_family_cap():
     # Checked before the 2^n adjacency bitsets are built, so n = 25 fails at
     # once instead of exhausting memory.
@@ -637,7 +743,7 @@ def test_exponential_optimisers_refuse_oversized_adjacency(monkeypatch):
 @given(data=st.data(), n=st.integers(0, 9))
 def test_compatibility_matches_reference(data, n):
     cond = data.draw(conditions_on(n))
-    assert families._compatibility(cond, n, "test") == reference_compatibility(cond, n)
+    assert families._compatibility(level_conflicts(cond, n), n) == reference_compatibility(cond, n)
 
 
 def test_family_satisfies_agrees_with_chain_definition():
