@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 # binomial is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
 from .binom import binomial, binomial_row  # noqa: F401
 from .conditions import Condition, level_conflicts, normalize_levels
-from .levelbounds import _relaxation
+from .levelbounds import SuffixTable, _relaxation
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -78,7 +78,8 @@ def optimal_levels_for_chains(
     _chain_bound cannot beat the incumbent.  The bound relaxes the condition
     level by level with levelbounds._relaxation, the exact maximum weight of
     an allowed subset for the named conditions (a clique cover for a custom
-    table).
+    table); its first layer does not depend on the node and is built once per
+    search.
     Raises SearchBudgetExceeded after node_budget search nodes.
     """
     if n < 0:
@@ -89,8 +90,10 @@ def optimal_levels_for_chains(
     if ell > n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
-    relax = _relaxation(cond, conflicts)
+    relax, tables = _relaxation(cond, conflicts)
     rows = [binomial_row(h) for h in range(n + 1)]
+    # The first layer is read only when there are chains to extend.
+    first = tables(rows) if ell > 1 else None
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
@@ -106,7 +109,7 @@ def optimal_levels_for_chains(
             raise SearchBudgetExceeded(
                 f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
             )
-        if _chain_bound(rows, conflicts, relax, sums, total, avail) <= best_count:
+        if _chain_bound(rows, conflicts, relax, first, sums, total, avail) <= best_count:
             return
         if avail == 0:
             best_count = total
@@ -119,7 +122,12 @@ def optimal_levels_for_chains(
         chosen.pop()
         dfs(rest, sums, total, chosen)
 
-    dfs((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, [])
+    try:
+        dfs((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, [])
+    finally:
+        # dfs reaches itself through its closure; breaking that cycle frees
+        # the rows and the first-layer table now, not at a full collection.
+        del dfs
     return ChainCountResult(best_count, best_witness, ell)
 
 
@@ -147,6 +155,7 @@ def _chain_bound(
     rows: list[list[int]],
     conflicts: tuple[int, ...],
     relax: Callable[[list[int], int], int],
+    first: SuffixTable | None,
     sums: list[list[int]],
     total: int,
     avail: int,
@@ -161,18 +170,32 @@ def _chain_bound(
     levelbounds._relaxation, which is at least the weight of every pairwise
     compatible subset of its mask for nonnegative weights: exactly the
     largest such weight for the named conditions, a clique cover for a
-    custom table.
+    custom table.  first, the table _relaxation builds for a named
+    condition, replaces the relax of U_2: with lo the lowest level of avail,
+    first[lo][b] relaxes the weights C(b, a) over the levels of [lo, b)
+    that do not conflict with b.  For a custom table first is None and U_2
+    is relaxed at the node.
 
     Admissible: S is allowed, so the levels of S below b lie in b's relax
     mask and are pairwise compatible.  By induction on j, u_j(b) in
     chosen | S is sums[j-2][b] plus the sum over those levels a of
     C(b, a) * u_{j-1}(a) <= C(b, a) * U_{j-1}(a), hence at most U_j(b); the
     same argument over all of S with weights C(n, b) * U_ell(b) bounds the
-    chains that end in S, and total counts those that end in chosen.
+    chains that end in S, and total counts those that end in chosen.  The
+    table's mask for b holds b's relax mask, since avail lies in [lo, n];
+    the largest allowed weight of a superset is no smaller, so U_2 stays an
+    upper bound.  The named conditions' searches keep avail one run of
+    levels from lo (including lo removes a run above it, excluding lo
+    removes lo), and there the two masks are equal.
     """
+    if not avail:
+        return total
     n = len(rows) - 1
-    levels = _bit_levels(avail)
     ubar = None  # U_1 = 1 everywhere
+    if first is not None and sums:
+        ubar = list(map(add, sums[0], first[(avail & -avail).bit_length() - 1]))
+        sums = sums[1:]
+    levels = _bit_levels(avail) if sums else ()
     for s in sums:
         nxt = [0] * (n + 1)
         for b in levels:

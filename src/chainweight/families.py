@@ -204,13 +204,17 @@ def _lattice_chain_bound(n: int, ell: int) -> int:
     return max(_full_lattice_chains(n, j) for j in range(1, ell + 1))
 
 
-def _count_dtype(n: int, bound: int) -> str | None:
-    # The narrowest exact numpy dtype for a transform whose values stay at
-    # most `bound`, or None for packed integer lanes: those win at small n
-    # and are the only exact choice past int64.
-    if n <= PACKED_COUNT_MAX_N or bound >= 2**63:
+def _count_dtype(n: int, ell: int) -> str | None:
+    # The narrowest exact numpy dtype for the ell-chain count, or None for
+    # packed integer lanes: those win at small n and are the only exact
+    # choice once the count itself may pass int64, the dtype of the final
+    # sum.  Step j of the ell - 1 transform steps sums the j-chain counts
+    # over the subsets of s, so no array entry, partial sums included,
+    # exceeds the full lattice's j-chain count for some j <= ell - 1: int32
+    # holds them while that bound is below 2^31.
+    if n <= PACKED_COUNT_MAX_N or _lattice_chain_bound(n, ell) >= 2**63:
         return None
-    return "int32" if bound < 2**31 else "int64"
+    return "int32" if _lattice_chain_bound(n, max(ell - 1, 1)) < 2**31 else "int64"
 
 
 def count_chains_family(family: FamilyMask, ell: int) -> int:
@@ -222,10 +226,9 @@ def count_chains_family(family: FamilyMask, ell: int) -> int:
     if ell > family.n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return 0
-    bound = _lattice_chain_bound(family.n, ell)
-    dtype = _count_dtype(family.n, bound)
+    dtype = _count_dtype(family.n, ell)
     if dtype is None:
-        return _count_chains_packed(family, ell, bound)
+        return _count_chains_packed(family, ell, _lattice_chain_bound(family.n, ell))
     return _count_chains_array(family, ell, dtype)
 
 
@@ -277,7 +280,8 @@ def _count_chains_packed(family: FamilyMask, ell: int, bound: int) -> int:
 
 
 def _count_chains_array(family: FamilyMask, ell: int, dtype: str) -> int:
-    # dtype must hold `_lattice_chain_bound(family.n, ell)`; see `_count_dtype`.
+    # dtype must hold `_lattice_chain_bound(family.n, ell - 1)` and the count
+    # must fit int64; see `_count_dtype`.
     import numpy as np
 
     indicator = _indicator(family)

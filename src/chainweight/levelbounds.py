@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .binom import binomial, binomial_row
 from .conditions import (
@@ -28,6 +29,9 @@ from .conditions import (
 
 METHOD_DP = "dp"
 METHOD_BRANCH_AND_BOUND = "branch-and-bound"
+
+# first[x][b] of the chain bound's first layer; see _relaxation.
+SuffixTable = list[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -238,19 +242,26 @@ def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) ->
     return bound
 
 
-def _relaxation(cond: Condition, conflicts: tuple[int, ...]) -> Callable[[list[int], int], int]:
-    """fn(w, mask): the largest sum of w over allowed subsets of the levels in mask.
+def _relaxation(
+    cond: Condition, conflicts: tuple[int, ...]
+) -> tuple[Callable[[list[int], int], int], Callable[[list[list[int]]], SuffixTable | None]]:
+    """(relax, tables) for the chain search's bound.
 
-    Exact for the named conditions and for nonnegative w; a custom table gets
-    the clique cover, which is at least that maximum.  The condition type is
-    resolved here, once, so the returned function does no dispatch.
+    relax(w, mask) is the largest sum of w over allowed subsets of the levels
+    in mask: exact for the named conditions and nonnegative w; a custom table
+    gets the clique cover, which is at least that maximum.  tables(rows)
+    builds the bound's state-free first layer from the binomial rows:
+    first[x][b] = relax(rows[b], levels of [x, b) compatible with b) for
+    every x and b, or None for a custom table, whose search needs the relax
+    of every node's own mask.  The condition type is resolved here, once, so
+    the returned functions do no dispatch.
     """
     if isinstance(cond, CustomPairwise):
-        return lambda w, mask: _clique_cover_bound(mask, conflicts, w)
+        return (lambda w, mask: _clique_cover_bound(mask, conflicts, w)), lambda rows: None
     if isinstance(cond, KatonaGap):
-        return _gap_relaxation(cond.k)
+        return _gap_relaxation(cond.k), partial(_gap_suffix_tables, cond.k)
     if isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
-        return _window_relaxation(conflicts)
+        return _window_relaxation(conflicts), partial(_window_suffix_tables, conflicts)
     raise TypeError(f"not a condition: {cond!r}")
 
 
@@ -261,6 +272,17 @@ def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
     # tail pointer walks the same levels behind h and releases each one into
     # the running max once it is k below h.
     def relax(w: list[int], mask: int) -> int:
+        low = mask & -mask
+        if not mask & (mask + low):
+            # One run of levels, as the chain bound's masks are: f[i] is the
+            # best over the run's first i - k + 1 levels (k leading zeros),
+            # f[i] = max(f[i - 1], w + f[i - k]).
+            f = [0] * k
+            for x in w[low.bit_length() - 1 : mask.bit_length()]:
+                skip = f[-1]
+                take = x + f[-k]
+                f.append(take if take > skip else skip)
+            return f[-1]
         best = [0] * len(w)
         tail = mask
         t = (tail & -tail).bit_length() - 1
@@ -281,6 +303,22 @@ def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
         return top
 
     return relax
+
+
+def _gap_suffix_tables(k: int, rows: list[list[int]]) -> SuffixTable:
+    # The levels compatible with b below it are [0, b - k], so for each b one
+    # backward pass g[x] = max(g[x + 1], C(b, x) + g[x + k]) gives the best
+    # allowed subset of [x, b - k] for every x; g is 0 past b - k.
+    n = len(rows) - 1
+    columns = []
+    for b, w in enumerate(rows):
+        g = [0] * (n + 1)
+        for x in range(b - k, -1, -1):
+            skip = g[x + 1]
+            take = w[x] + g[x + k]
+            g[x] = take if take > skip else skip
+        columns.append(g)
+    return list(zip(*columns))
 
 
 def _window_relaxation(conflicts: tuple[int, ...]) -> Callable[[list[int], int], int]:
@@ -328,6 +366,24 @@ def _window_relaxation(conflicts: tuple[int, ...]) -> Callable[[list[int], int],
         return top
 
     return relax
+
+
+def _window_suffix_tables(conflicts: tuple[int, ...], rows: list[list[int]]) -> SuffixTable:
+    # The levels compatible with b below it are those whose top reaches b: a
+    # run [s, b - 1], allowed as a whole (see _window_relaxation), so the best
+    # allowed subset of [x, b) is the sum of that run from max(x, s) up.
+    n = len(rows) - 1
+    columns = []
+    for b, w in enumerate(rows):
+        below = ~conflicts[b] & ((1 << b) - 1)
+        if not below:
+            columns.append([0] * (n + 1))
+            continue
+        s = (below & -below).bit_length() - 1
+        suffix = list(accumulate(reversed(w[s:b])))
+        suffix.reverse()
+        columns.append([suffix[0]] * s + suffix + [0] * (n + 1 - b))
+    return list(zip(*columns))
 
 
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:

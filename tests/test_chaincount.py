@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from chainweight import (
     window_chain_count,
 )
 from chainweight import chaincount
-from chainweight.chaincount import _chain_bound, _include
+from chainweight.chaincount import _bit_levels, _chain_bound, _include
 from chainweight.levelbounds import _relaxation, size_bound
 
 
@@ -89,6 +91,25 @@ def reference_optimal_levels_for_chains(n, cond, ell):
 
     dfs((1 << (n + 1)) - 1, [])
     return tuple(best)
+
+
+def reference_chain_bound(rows, conflicts, relax, sums, total, avail):
+    # The bound before its first layer came from a table built once per
+    # search: every layer relaxes each level's own mask at the node.
+    n = len(rows) - 1
+    levels = _bit_levels(avail)
+    ubar = None  # U_1 = 1 everywhere
+    for s in sums:
+        nxt = [0] * (n + 1)
+        for b in levels:
+            below = avail & ((1 << b) - 1) & ~conflicts[b]
+            nxt[b] = s[b]
+            if below:
+                w = rows[b] if ubar is None else list(map(mul, rows[b], ubar))
+                nxt[b] += relax(w, below)
+        ubar = nxt
+    top = rows[n] if ubar is None else list(map(mul, rows[n], ubar))
+    return total + relax(top, avail)
 
 
 @st.composite
@@ -242,9 +263,14 @@ def test_relaxation_is_the_best_allowed_weight(data, n):
     cond = data.draw(conditions_on(n))
     conflicts = level_conflicts(cond, n)
     w = data.draw(st.lists(st.integers(0, 10**6), min_size=n + 1, max_size=n + 1))
-    mask = data.draw(st.integers(0, (1 << (n + 1)) - 1))
+    if data.draw(st.booleans()):
+        mask = data.draw(st.integers(0, (1 << (n + 1)) - 1))
+    else:
+        # One run of levels [lo, hi), the chain bound's usual mask.
+        lo = data.draw(st.integers(0, n + 1))
+        mask = (1 << data.draw(st.integers(lo, n + 1))) - (1 << lo)
     best = max(sum(w[h] for h in levels) for levels in allowed_subsets(mask, conflicts))
-    value = _relaxation(cond, conflicts)(w, mask)
+    value = _relaxation(cond, conflicts)[0](w, mask)
     if isinstance(cond, CustomPairwise):
         assert value >= best
     else:
@@ -256,35 +282,97 @@ def test_relaxation_rejects_non_conditions():
         _relaxation("antichain", level_conflicts(Antichain(), 3))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(0, 12), ell=st.integers(1, 4))
-def test_chain_bound_is_admissible(data, n, ell):
-    # A search node: an allowed chosen set below a cut, and as avail some of
-    # the levels from the cut up that are compatible with every chosen level.
-    cond = data.draw(conditions_on(n))
-    conflicts = level_conflicts(cond, n)
-    relax = _relaxation(cond, conflicts)
-    cut = data.draw(st.integers(0, n + 1))
+def search_state(data, n, ell, conflicts, cut):
+    # The carried state of an allowed chosen set below cut, built by _include.
+    rows = [binomial_row(h) for h in range(n + 1)]
     chosen = []
     compatible = (1 << (n + 1)) - 1
     for h in range(cut):
         if compatible >> h & 1 and data.draw(st.booleans()):
             chosen.append(h)
             compatible &= ~conflicts[h]
-    dropped = data.draw(st.integers(0, (1 << (n + 1)) - 1)) if data.draw(st.booleans()) else 0
-    avail = compatible & ~dropped & ~((1 << cut) - 1)
-
-    rows = [binomial_row(h) for h in range(n + 1)]
     sums, total = [[0] * (n + 1) for _ in range(ell - 1)], 0
     for h in chosen:
         sums, total = _include(rows, sums, total, h)
+    return rows, chosen, compatible, sums, total
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), ell=st.integers(1, 4))
+def test_chain_bound_is_admissible(data, n, ell):
+    # A search node: an allowed chosen set below a cut, and as avail some of
+    # the levels from the cut up that are compatible with every chosen level,
+    # or any mask of levels from the cut up.  The chains of chosen | S are
+    # bounded for every allowed S inside avail either way: the proof in
+    # _chain_bound needs only that avail lies above the chosen levels, and a
+    # mask that is not one run of levels reads the table's first layer on a
+    # superset of each level's mask.
+    cond = data.draw(conditions_on(n))
+    conflicts = level_conflicts(cond, n)
+    relax, tables = _relaxation(cond, conflicts)
+    cut = data.draw(st.integers(0, n + 1))
+    rows, chosen, compatible, sums, total = search_state(data, n, ell, conflicts, cut)
+    if data.draw(st.booleans()):
+        dropped = data.draw(st.integers(0, (1 << (n + 1)) - 1)) if data.draw(st.booleans()) else 0
+        avail = compatible & ~dropped & ~((1 << cut) - 1)
+    else:
+        avail = data.draw(st.integers(0, (1 << (n + 1)) - 1)) & ~((1 << cut) - 1)
+
+    first = tables(rows)
+    assert (first is None) == isinstance(cond, CustomPairwise)
     assert total == count_chains_levels(n, chosen, ell)
-    assert _chain_bound(rows, conflicts, relax, sums, total, 0) == total
+    assert _chain_bound(rows, conflicts, relax, first, sums, total, 0) == total
     best = max(
         count_chains_levels(n, chosen + extra, ell)
         for extra in allowed_subsets(avail, conflicts)
     )
-    assert _chain_bound(rows, conflicts, relax, sums, total, avail) >= best
+    assert _chain_bound(rows, conflicts, relax, first, sums, total, avail) >= best
+    assert reference_chain_bound(rows, conflicts, relax, sums, total, avail) >= best
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30), ell=st.integers(2, 4))
+def test_chain_bound_matches_reference_on_runs(data, n, ell):
+    # The named conditions' searches only ever ask for one run of levels
+    # [lo, hi) above the chosen ones; there the first layer read from the
+    # table equals the per-node relax, so bounds and node counts are unchanged.
+    cond = data.draw(st.sampled_from(NAMED_CONDITIONS))
+    conflicts = level_conflicts(cond, n)
+    relax, tables = _relaxation(cond, conflicts)
+    lo = data.draw(st.integers(0, n + 1))
+    hi = data.draw(st.integers(lo, n + 1))
+    avail = (1 << hi) - (1 << lo)
+    rows, _, _, sums, total = search_state(data, n, ell, conflicts, lo)
+    assert _chain_bound(rows, conflicts, relax, tables(rows), sums, total, avail) == (
+        reference_chain_bound(rows, conflicts, relax, sums, total, avail)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 14))
+def test_suffix_tables_are_the_best_allowed_weights(data, n):
+    # first[x][b] is the largest weight rows[b][a] of an allowed subset of the
+    # levels of [x, b) that do not conflict with b, for random nonnegative
+    # rows; a custom table builds none.
+    cond = data.draw(conditions_on(n))
+    conflicts = level_conflicts(cond, n)
+    rows = [
+        data.draw(st.lists(st.integers(0, 10**6), min_size=n + 1, max_size=n + 1))
+        for _ in range(n + 1)
+    ]
+    first = _relaxation(cond, conflicts)[1](rows)
+    if isinstance(cond, CustomPairwise):
+        assert first is None
+        return
+    assert len(first) == n + 1
+    for x in range(n + 1):
+        assert len(first[x]) == n + 1
+        for b in range(n + 1):
+            mask = ((1 << b) - (1 << x) if x < b else 0) & ~conflicts[b]
+            best = max(
+                sum(rows[b][a] for a in levels) for levels in allowed_subsets(mask, conflicts)
+            )
+            assert first[x][b] == best, (cond, x, b)
 
 
 NAMED_CONDITIONS = (
@@ -329,7 +417,8 @@ def test_single_chains_match_size_bound(cond):
         assert (result.count, result.levels) == (expected.value, expected.witness), n
         conflicts = level_conflicts(cond, n)
         rows = [binomial_row(h) for h in range(n + 1)]
-        root = _chain_bound(rows, conflicts, _relaxation(cond, conflicts), [], 0, (1 << (n + 1)) - 1)
+        relax = _relaxation(cond, conflicts)[0]
+        root = _chain_bound(rows, conflicts, relax, None, [], 0, (1 << (n + 1)) - 1)
         assert root >= expected.value, n
         assert custom or root == expected.value, n
 
@@ -361,15 +450,40 @@ def test_node_budget_bounds_the_large_katona_search():
     # The search at n=40 visits a few dozen nodes; a budget below that
     # raises, and one above it returns the known witness.  n=100 under a
     # budget of 1000 guards the strength of the bound: with the clique cover
-    # it took 4,767 nodes at n=40 already.
+    # it took 4,767 nodes at n=40 already.  The exact node counts are pinned:
+    # 29 at n=40, ell=2 and 69 at n=100, ell=3.
     with pytest.raises(SearchBudgetExceeded):
         optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=20)
+    with pytest.raises(SearchBudgetExceeded):
+        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=28)
+    assert optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=29).levels == tuple(
+        range(0, 41, 3)
+    )
+    with pytest.raises(SearchBudgetExceeded):
+        optimal_levels_for_chains(100, KatonaGap(3), 3, node_budget=68)
+    result = optimal_levels_for_chains(100, KatonaGap(3), 3, node_budget=69)
+    assert result.count == count_chains_levels(100, result.levels, 3)
     result = optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=1000)
     assert result.levels == tuple(range(0, 41, 3))
     assert result.count == 1350851351169116164
     result = optimal_levels_for_chains(100, KatonaGap(3), 2, node_budget=1000)
     assert result.levels == tuple(range(0, 101, 3))
     assert result.count == count_chains_levels(100, range(0, 101, 3), 2)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # The search's rows and first-layer table are freed when it returns or
+    # raises, not left for the cycle collector to find.
+    gc.collect()
+    gc.disable()
+    try:
+        optimal_levels_for_chains(30, KatonaGap(3), 3)
+        assert gc.collect() == 0
+        with pytest.raises(SearchBudgetExceeded):
+            optimal_levels_for_chains(30, KatonaGap(3), 3, node_budget=5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_window_chain_count_examples():

@@ -294,3 +294,15 @@ def test_load_custom_condition_rejects_bad_documents(tmp_path):
 def test_custom_condition_is_chain_dependent():
     cond = CustomPairwise(3, frozenset({(0, 2), (1, 3)}))
     assert is_chain_dependent(3, fast_pairwise_predicate(cond, 3))
+
+
+def test_named_conflicts_are_cached_apart_from_custom_tables():
+    # A named condition's compile stays cached while many custom tables pass
+    # through their own small cache, and cache_info counts both.
+    named = level_conflicts(KatonaGap(7), 31)
+    for n in range(1, 21):
+        level_conflicts(CustomPairwise(n, frozenset({(0, 1)})), n)
+    after = level_conflicts.cache_info()
+    assert level_conflicts(KatonaGap(7), 31) is named
+    assert level_conflicts.cache_info().misses == after.misses
+    assert after.currsize <= after.maxsize == 256 + 8

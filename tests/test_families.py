@@ -360,7 +360,7 @@ def test_count_chains_family_packed_path_n19():
     # 11-chains of the full lattice at n = 19 overflow int64, so the count
     # runs on packed lanes of 9 bytes.
     n, ell = 19, 11
-    assert _count_dtype(n, _lattice_chain_bound(n, ell)) is None
+    assert _count_dtype(n, ell) is None
     expected = count_chains_levels(n, range(n + 1), ell)
     assert expected > 2**63
     assert count_chains_family(FamilyMask.full(n), ell) == expected
@@ -368,12 +368,14 @@ def test_count_chains_family_packed_path_n19():
 
 def count_width(n, ell):
     # The transform width count_chains_family picks: None for packed lanes.
-    return _count_dtype(n, _lattice_chain_bound(n, ell))
+    return _count_dtype(n, ell)
 
 
 def test_int64_guard_matches_full_lattice_counts():
-    # The width chooser against the full lattice's chain counts: int32 below
-    # 2^31, int64 below 2^63, packed lanes past that and at n <= 10.
+    # The width chooser against the full lattice's chain counts: packed
+    # lanes at n <= 10 and once the ell-chain count may pass 2^63, else
+    # int32 while the counts of chains one shorter stay below 2^31 (the
+    # transform's entries never exceed them) and int64 above.
     for n in range(0, 21):
         full = [count_chains_levels(n, range(n + 1), j) for j in range(1, n + 4)]
         assert [_full_lattice_chains(n, j) for j in range(1, n + 4)] == full
@@ -383,13 +385,29 @@ def test_int64_guard_matches_full_lattice_counts():
             if n <= 10 or bound >= 2**63:
                 expected = None
             else:
-                expected = "int32" if bound < 2**31 else "int64"
+                expected = "int32" if max(full[: max(ell - 1, 1)]) < 2**31 else "int64"
             assert count_width(n, ell) == expected
     assert all(_lattice_chain_bound(n, ell) < 2**63 for n in range(19) for ell in range(1, 30))
     assert all(count_width(n, ell) for n in range(11, 19) for ell in range(1, 30))
     assert [count_width(19, ell) for ell in (10, 11)] == ["int64", None]
     assert [count_width(20, ell) for ell in (8, 9)] == ["int64", None]
-    assert [count_width(15, 3), count_width(16, 3)] == ["int32", "int64"]
+    assert [count_width(19, 3), count_width(20, 3)] == ["int32", "int64"]
+    assert [count_width(15, 4), count_width(16, 4)] == ["int32", "int64"]
+
+
+def test_int32_cut_uses_the_shorter_chains():
+    # Past the full ell-chain bound's 2^31 cut, int32 stays exact while the
+    # (ell - 1)-chain bound is below 2^31: n = 16..19 at ell = 3 and
+    # n = 14..15 at ell = 4.  Just past it, where that bound lies between
+    # 2^31 and 2^33, int32 would overflow on the full family and int64 is
+    # picked, so a cut moved up to 2^33 fails here.
+    for n, ell in ((16, 3), (17, 3), (18, 3), (19, 3), (14, 4), (15, 4)):
+        assert _lattice_chain_bound(n, ell) >= 2**31
+        assert _lattice_chain_bound(n, ell - 1) < 2**31
+        assert count_width(n, ell) == "int32", (n, ell)
+    for n, ell in ((20, 3), (16, 4)):
+        assert 2**31 <= _lattice_chain_bound(n, ell - 1) < 2**33
+        assert count_width(n, ell) == "int64", (n, ell)
 
 
 def test_count_chains_family_full_lattice_across_widths():
@@ -402,23 +420,23 @@ def test_count_chains_family_full_lattice_across_widths():
 
 
 def test_array_count_matches_packed_across_int32_cut():
-    # At ell = 3, n = 15 runs in int32 and n = 16 in int64; seeded dense and
+    # At ell = 4, n = 15 runs in int32 and n = 16 in int64; seeded dense and
     # sparse families on both sides of the cut.
     import random
 
     rng = random.Random(1516)
     for n in (15, 16):
-        bound = _lattice_chain_bound(n, 3)
+        bound = _lattice_chain_bound(n, 4)
         for density_rounds in (0, 3):
             bits = rng.getrandbits(1 << n)
             for _ in range(density_rounds):
                 bits &= rng.getrandbits(1 << n)
             family = FamilyMask(n, bits)
-            expected = _count_chains_packed(family, 3, bound)
-            assert count_chains_family(family, 3) == expected
-            assert _count_chains_array(family, 3, "int64") == expected
-            if bound < 2**31:
-                assert _count_chains_array(family, 3, "int32") == expected
+            expected = _count_chains_packed(family, 4, bound)
+            assert count_chains_family(family, 4) == expected
+            assert _count_chains_array(family, 4, "int64") == expected
+            if _lattice_chain_bound(n, 3) < 2**31:
+                assert _count_chains_array(family, 4, "int32") == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -464,7 +482,7 @@ def test_packed_count_matches_int64_count(case, data):
     expected = count_chains_family(family, ell)
     assert _count_chains_packed(family, ell, bound) == expected
     assert _count_chains_array(family, ell, "int64") == expected
-    if bound < 2**31:
+    if _lattice_chain_bound(n, ell - 1) < 2**31:
         assert _count_chains_array(family, ell, "int32") == expected
     if n <= 8 and ell <= 4:
         assert expected == reference_count_chains_family(family, ell)
