@@ -267,40 +267,24 @@ def _relaxation(
 
 def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
     # The conflict graph of KatonaGap(k) is a unit interval graph, so the
-    # best allowed set is a DP over the mask's levels in ascending order:
-    # best[h] = w[h] + the best allowed set ending at a level <= h - k.  The
-    # tail pointer walks the same levels behind h and releases each one into
-    # the running max once it is k below h.
+    # best allowed set is one pass over the levels lo..hi spanned by the
+    # mask: f[i] is the best over the first i - k + 1 of them (k leading
+    # zeros), f[i] = max(f[i - 1], w'[i] + f[i - k]).  The chain bound's masks
+    # are one run of levels, so w' is w[lo:hi + 1]; a level inside the span
+    # but outside the mask gets weight 0, and dropping a level of weight 0
+    # from an allowed set keeps it allowed, so the maximum is unchanged.
     def relax(w: list[int], mask: int) -> int:
         low = mask & -mask
-        if not mask & (mask + low):
-            # One run of levels, as the chain bound's masks are: f[i] is the
-            # best over the run's first i - k + 1 levels (k leading zeros),
-            # f[i] = max(f[i - 1], w + f[i - k]).
-            f = [0] * k
-            for x in w[low.bit_length() - 1 : mask.bit_length()]:
-                skip = f[-1]
-                take = x + f[-k]
-                f.append(take if take > skip else skip)
-            return f[-1]
-        best = [0] * len(w)
-        tail = mask
-        t = (tail & -tail).bit_length() - 1
-        done = top = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            h = low.bit_length() - 1
-            while t <= h - k:
-                if best[t] > done:
-                    done = best[t]
-                tail &= tail - 1
-                t = (tail & -tail).bit_length() - 1
-            value = w[h] + done
-            best[h] = value
-            if value > top:
-                top = value
-        return top
+        lo = low.bit_length() - 1
+        span = w[lo : mask.bit_length()]
+        if mask & (mask + low):
+            span = [x if mask >> h & 1 else 0 for h, x in enumerate(span, lo)]
+        f = [0] * k
+        for x in span:
+            skip = f[-1]
+            take = x + f[-k]
+            f.append(take if take > skip else skip)
+        return f[-1]
 
     return relax
 

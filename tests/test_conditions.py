@@ -306,3 +306,13 @@ def test_named_conflicts_are_cached_apart_from_custom_tables():
     assert level_conflicts(KatonaGap(7), 31) is named
     assert level_conflicts.cache_info().misses == after.misses
     assert after.currsize <= after.maxsize == 256 + 8
+
+
+def test_level_conflicts_cache_clear_empties_both_caches():
+    level_conflicts(KatonaGap(2), 5)
+    level_conflicts(CustomPairwise(4, frozenset({(0, 1)})), 4)
+    level_conflicts.cache_clear()
+    assert level_conflicts.cache_info().currsize == 0
+    level_conflicts(KatonaGap(2), 5)
+    info = level_conflicts.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
