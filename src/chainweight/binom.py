@@ -16,12 +16,19 @@ def binomial(n: int, k: int) -> int:
 
 
 def binomial_row(n: int) -> list[int]:
-    """The row [C(n, 0), ..., C(n, n)], by the exact recurrence C(n, k+1) = C(n, k)(n-k)/(k+1)."""
+    """The row [C(n, 0), ..., C(n, n)], as a fresh list.
+
+    The exact recurrence C(n, k+1) = C(n, k)(n-k)/(k+1) runs up to
+    k = floor(n/2); the rest of the row is its mirror, C(n, k) = C(n, n-k).
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    row = [1] * (n + 1)
-    for k in range(n):
-        row[k + 1] = row[k] * (n - k) // (k + 1)
+    row = [1]
+    c = 1
+    for k in range(n // 2):
+        c = c * (n - k) // (k + 1)
+        row.append(c)
+    row.extend(reversed(row[: n - n // 2]))
     return row
 
 

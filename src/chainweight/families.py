@@ -408,7 +408,12 @@ def _max_compatible_clique(
             expand(size + 1, bits | bit, candidates & compatible[v])
             candidates &= ~bit
 
-    expand(0, 0, universe)
+    try:
+        expand(0, 0, universe)
+    finally:
+        # expand reaches itself through its closure; breaking that cycle
+        # frees it at return, not at the next full collection.
+        del expand
     return best_size, best_bits
 
 
@@ -439,7 +444,11 @@ def _maximal_families(compatible: list[int], universe: int) -> Iterator[int]:
             x |= bit
             branch &= branch - 1
 
-    yield from bk(0, universe, 0)
+    try:
+        yield from bk(0, universe, 0)
+    finally:
+        # bk reaches itself through its closure; see _max_compatible_clique.
+        del bk
 
 
 def max_chains_family(

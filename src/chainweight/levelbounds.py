@@ -8,6 +8,7 @@ optimizers here compute it exactly together with a witness level set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -56,7 +57,14 @@ def erdos_bound(n: int, k: int) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    return sum(binomial_row(n)[max((n - k) // 2, 0) : (n + k) // 2 + 1])
+    # The window [lo, hi] of the k+1 middle levels, clipped to [0, n]: one
+    # C(n, lo), then C(n, h+1) = C(n, h)(n-h)/(h+1) up to hi.
+    lo = max((n - k) // 2, 0)
+    c = total = math.comb(n, lo)
+    for h in range(lo, min((n + k) // 2, n)):
+        c = c * (n - h) // (h + 1)
+        total += c
+    return total
 
 
 def katona_bound(n: int, k: int) -> int:
@@ -98,7 +106,8 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
     ratio = Fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    return sum(binomial_row(n)[k : min(_ratio_window_top(k, ratio), n) + 1])
+    top = (ratio.numerator * k - 1) // ratio.denominator
+    return sum(binomial_row(n)[k : min(top, n) + 1])
 
 
 def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
@@ -108,15 +117,8 @@ def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
     ratio = Fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
-    prefix = list(accumulate(binomial_row(n), initial=0))
-    best_value = -1
-    best_k = 0
-    for k in range(1, n + 1):
-        value = prefix[min(_ratio_window_top(k, ratio), n) + 1] - prefix[k]
-        if value > best_value:
-            best_value = value
-            best_k = k
-    return best_value, best_k
+    value, k, _ = _ratio_scan(n, ratio.numerator, ratio.denominator)
+    return value, k
 
 
 def integer_ratio_levels(n: int, c: int) -> tuple[int, ...]:
@@ -178,14 +180,17 @@ def _best_contiguous_window(n: int, k: int) -> BoundResult:
 
 def _best_gap_levels(n: int, k: int) -> BoundResult:
     # best[h] = largest weight of an allowed set whose minimum level is h.
+    # A gap past n allows a single level, as k does, so step = min(k, n + 1)
+    # keeps every read of suffix_max inside the list.
     w = binomial_row(n)
+    step = min(k, n + 1)
     best = [0] * (n + 1)
-    suffix_max = [0] * (n + 2)  # max of best[h..n]
+    suffix_max = [0] * (n + 1 + step)  # max of best[h..n], 0 past n
     for h in range(n, -1, -1):
-        tail = suffix_max[h + k] if h + k <= n else 0
-        best[h] = w[h] + tail
-        suffix_max[h] = max(best[h], suffix_max[h + 1])
-    value = max(best)
+        take = best[h] = w[h] + suffix_max[h + step]
+        skip = suffix_max[h + 1]
+        suffix_max[h] = take if take > skip else skip
+    value = suffix_max[0]
     # Lexicographically smallest witness: smallest feasible level at each step.
     levels = []
     target = value
@@ -201,25 +206,41 @@ def _best_gap_levels(n: int, k: int) -> BoundResult:
     return BoundResult(value, tuple(levels), METHOD_DP)
 
 
-def _ratio_window_top(k: int, ratio: Fraction) -> int:
-    # Largest integer strictly below ratio * k.
-    p, q = ratio.numerator, ratio.denominator
-    return (p * k - 1) // q
+def _ratio_scan(n: int, p: int, q: int) -> tuple[int, int, int]:
+    """(value, k, top): the heaviest window [k, top] of levels with top the
+    largest integer below (p/q) k, clipped to n, over k in [1, n]; the
+    smallest such k.  (-1, 0, 0) when n = 0.
+
+    top never decreases with k, so once it reaches n every later window is
+    a strict suffix of [k, n], lighter by at least one binomial, and the
+    scan stops.
+    """
+    prefix = list(accumulate(binomial_row(n), initial=0))
+    best_value = -1
+    best_k = best_top = 0
+    for k in range(1, n + 1):
+        top = (p * k - 1) // q
+        if top >= n:
+            value = prefix[n + 1] - prefix[k]
+            if value > best_value:
+                return value, k, n
+            break
+        value = prefix[top + 1] - prefix[k]
+        if value > best_value:
+            best_value = value
+            best_k = k
+            best_top = top
+    return best_value, best_k, best_top
 
 
 def _best_ratio_levels(n: int, ratio: Fraction) -> BoundResult:
     # Level 0 conflicts with every other level, so the candidates are {0}
-    # and, for each minimum level k >= 1, the full window [k, ratio*k).
-    prefix = list(accumulate(binomial_row(n), initial=0))
-    best_value = 1
-    best_witness: tuple[int, ...] = (0,)
-    for k in range(1, n + 1):
-        top = min(_ratio_window_top(k, ratio), n)
-        value = prefix[top + 1] - prefix[k]
-        if value > best_value:
-            best_value = value
-            best_witness = tuple(range(k, top + 1))
-    return BoundResult(best_value, best_witness, METHOD_DP)
+    # and, for each minimum level k >= 1, the full window [k, ratio*k); {0}
+    # wins ties, so it stands unless a window weighs more than 1.
+    value, k, top = _ratio_scan(n, ratio.numerator, ratio.denominator)
+    if value <= 1:
+        return BoundResult(1, (0,), METHOD_DP)
+    return BoundResult(value, tuple(range(k, top + 1)), METHOD_DP)
 
 
 def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) -> int:
@@ -404,7 +425,12 @@ def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
             dfs(rest & ~masks[i], weight + w[i])
             dfs(rest, weight)
 
-        dfs(avail, 0)
+        try:
+            dfs(avail, 0)
+        finally:
+            # dfs reaches itself through its closure; breaking that cycle
+            # frees it at return, not at the next full collection.
+            del dfs
         return top
 
     # Phase 1 finds the optimum.  Phase 2 builds the lexicographically

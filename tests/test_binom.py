@@ -44,9 +44,27 @@ def test_binomial_large_inputs_are_exact():
     assert binomial(10_000, 5_000) == math.comb(10_000, 5_000)
 
 
+def full_recurrence_row(n):
+    # Reference oracle: the recurrence C(n, k+1) = C(n, k)(n-k)/(k+1) run
+    # over the whole row, as binomial_row did before it mirrored its half.
+    row = [1] * (n + 1)
+    for k in range(n):
+        row[k + 1] = row[k] * (n - k) // (k + 1)
+    return row
+
+
 @given(n=st.integers(0, 600))
 def test_binomial_row_matches_comb(n):
     assert binomial_row(n) == [math.comb(n, k) for k in range(n + 1)]
+
+
+@given(n=st.integers(0, 700))
+def test_binomial_row_matches_full_recurrence(n):
+    row = binomial_row(n)
+    assert row == full_recurrence_row(n)
+    # A fresh list each call: changing one leaves the next intact.
+    row[0] = -1
+    assert binomial_row(n)[0] == 1
 
 
 @given(n=st.integers(0, 200), k=st.integers(-5, 205))

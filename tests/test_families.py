@@ -1,3 +1,4 @@
+import gc
 import itertools
 import subprocess
 import sys
@@ -697,6 +698,20 @@ def test_max_chains_family_matches_level_optimizer():
                 assert brute == level.count, (n, cond, ell)
                 assert family_satisfies(witness, cond)
                 assert count_chains_family(witness, ell) == brute
+
+
+def test_family_optimisers_leave_no_cyclic_garbage():
+    # The clique search and the maximal-family enumeration are freed when
+    # they finish, not left for the cycle collector to find.
+    gc.collect()
+    gc.disable()
+    try:
+        max_family(7, KatonaGap(3))
+        assert gc.collect() == 0
+        max_chains_family(4, KatonaGap(2), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_max_chains_family_cap():

@@ -1,13 +1,15 @@
+import gc
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainweight import (
     Antichain,
+    BoundResult,
     CustomPairwise,
     ErdosWindow,
     IntegerRatio,
@@ -27,6 +29,7 @@ from chainweight import (
     sperner_bound,
 )
 from chainweight.levelbounds import _clique_cover_bound
+from test_binom import full_recurrence_row
 
 RATIOS = [Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(5, 2)]
 
@@ -179,6 +182,23 @@ def test_size_bound_custom_matches_reference_search(n, density, seed):
     assert (result.value, result.witness) == reference_branch_and_bound(n, cond)
 
 
+def test_custom_search_leaves_no_cyclic_garbage():
+    # The branch and bound's search is freed when it returns, not left for
+    # the cycle collector to find.
+    rng = random.Random(60)
+    n = 60
+    cond = CustomPairwise(
+        n, frozenset((a, b) for a in range(n + 1) for b in range(a + 1, n + 1) if rng.random() < 0.3)
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        size_bound(n, cond)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_size_bound_degenerate_n0():
     for cond in named_conditions(1):
         result = size_bound(0, cond)
@@ -315,6 +335,113 @@ def test_best_ratio_window_matches_exhaustive():
             per_k = [ratio_window_weight(n, kk, ratio) for kk in range(1, n + 1)]
             assert value == max(per_k)
             assert k == 1 + per_k.index(max(per_k))
+
+
+# Reference oracles: the scans size_bound and the closed forms ran before
+# they read half rows, shared one integer ratio scan and summed the Erdős
+# window by its recurrence.  Each reads the full-recurrence row.
+
+
+def reference_ratio_window_top(k, ratio):
+    return (ratio.numerator * k - 1) // ratio.denominator
+
+
+def reference_best_ratio_window(n, ratio):
+    prefix = list(accumulate(full_recurrence_row(n), initial=0))
+    best_value = -1
+    best_k = 0
+    for k in range(1, n + 1):
+        value = prefix[min(reference_ratio_window_top(k, ratio), n) + 1] - prefix[k]
+        if value > best_value:
+            best_value = value
+            best_k = k
+    return best_value, best_k
+
+
+def reference_ratio_levels(n, ratio):
+    prefix = list(accumulate(full_recurrence_row(n), initial=0))
+    best_value = 1
+    best_witness = (0,)
+    for k in range(1, n + 1):
+        top = min(reference_ratio_window_top(k, ratio), n)
+        value = prefix[top + 1] - prefix[k]
+        if value > best_value:
+            best_value = value
+            best_witness = tuple(range(k, top + 1))
+    return BoundResult(best_value, best_witness, "dp")
+
+
+def reference_gap_levels(n, k):
+    w = full_recurrence_row(n)
+    best = [0] * (n + 1)
+    suffix_max = [0] * (n + 2)
+    for h in range(n, -1, -1):
+        tail = suffix_max[h + k] if h + k <= n else 0
+        best[h] = w[h] + tail
+        suffix_max[h] = max(best[h], suffix_max[h + 1])
+    value = max(best)
+    levels = []
+    target = value
+    h = 0
+    while True:
+        while best[h] != target:
+            h += 1
+        levels.append(h)
+        target -= w[h]
+        if target == 0:
+            break
+        h += k
+    return BoundResult(value, tuple(levels), "dp")
+
+
+def reference_erdos_bound(n, k):
+    return sum(full_recurrence_row(n)[max((n - k) // 2, 0) : (n + k) // 2 + 1])
+
+
+RATIO_CONDITIONS = [RatioLambda(r) for r in RATIOS] + [IntegerRatio(c) for c in (2, 3, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 700))
+@example(n=699)
+@example(n=700)
+def test_ratio_scan_matches_reference(n):
+    for cond in RATIO_CONDITIONS:
+        assert size_bound(n, cond) == reference_ratio_levels(n, cond.ratio), cond
+        if n >= 1:
+            assert best_ratio_window(n, cond.ratio) == reference_best_ratio_window(n, cond.ratio)
+
+
+def test_ratio_scan_keeps_level_zero_ties():
+    # {0} weighs 1; at n = 0 there is no window and at n = 1 the only window
+    # {1} ties it, so {0} stands.
+    for cond in RATIO_CONDITIONS:
+        assert size_bound(0, cond) == BoundResult(1, (0,), "dp")
+        assert size_bound(1, cond) == BoundResult(1, (0,), "dp")
+        assert best_ratio_window(1, cond.ratio) == (1, 1)
+        assert size_bound(2, cond).witness[0] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 700))
+@example(n=699)
+@example(n=700)
+def test_gap_dp_matches_reference(n):
+    for k in range(1, 9):
+        assert size_bound(n, KatonaGap(k)) == reference_gap_levels(n, k), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 700), data=st.data())
+def test_erdos_bound_matches_reference(n, data):
+    ks = {1, n + 1, n + 2}
+    ks.update(data.draw(st.lists(st.integers(1, n + 2), max_size=6)))
+    for k in sorted(ks):
+        value = reference_erdos_bound(n, k)
+        assert erdos_bound(n, k) == value, k
+        # The best window is the middle one erdos_bound sums.
+        window = tuple(range(max((n - k) // 2, 0), min((n + k) // 2, n) + 1))
+        assert size_bound(n, ErdosWindow(k)) == BoundResult(value, window, "dp"), k
 
 
 def test_integer_ratio_levels_examples():
