@@ -136,11 +136,10 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
 
     The witness is the lexicographically smallest maximizing level set,
     compared as an ascending sequence.  The named conditions have exact
-    optimizers; a custom table is solved by branch and bound in two phases.
-    The first finds the optimum, branching on the heaviest levels first and
-    pruning with a clique cover.  The second builds the witness one level at
-    a time in ascending order, taking a level iff the same search over the
-    compatible levels above it still completes the optimum.
+    optimizers.  A custom table is solved by one branch and bound over the
+    levels, heaviest first, pruned with a clique cover; level h weighs
+    C(n, h) << (n + 1) | 1 << (n - h), whose low bits break ties towards
+    the lexicographically smallest set and spell its levels.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -179,31 +178,45 @@ def _best_contiguous_window(n: int, k: int) -> BoundResult:
 
 
 def _best_gap_levels(n: int, k: int) -> BoundResult:
-    # best[h] = largest weight of an allowed set whose minimum level is h.
-    # A gap past n allows a single level, as k does, so step = min(k, n + 1)
-    # keeps every read of suffix_max inside the list.
+    # g[x] is the largest weight of an allowed subset of [x, n], followed by
+    # step zeros, so best[h] = w[h] + g[h + step] is the largest weight of
+    # an allowed set with minimum level h.
     w = binomial_row(n)
-    step = min(k, n + 1)
-    best = [0] * (n + 1)
-    suffix_max = [0] * (n + 1 + step)  # max of best[h..n], 0 past n
-    for h in range(n, -1, -1):
-        take = best[h] = w[h] + suffix_max[h + step]
-        skip = suffix_max[h + 1]
-        suffix_max[h] = take if take > skip else skip
-    value = suffix_max[0]
+    g = _gap_sums(w[::-1], k)
+    g.reverse()
+    step = len(g) - (n + 1)
     # Lexicographically smallest witness: smallest feasible level at each step.
     levels = []
-    target = value
+    target = g[0]
     h = 0
-    while True:
-        while best[h] != target:
+    while target:
+        while w[h] + g[h + step] != target:
             h += 1
         levels.append(h)
         target -= w[h]
-        if target == 0:
-            break
-        h += k
-    return BoundResult(value, tuple(levels), METHOD_DP)
+        h += step
+    return BoundResult(g[0], tuple(levels), METHOD_DP)
+
+
+def _gap_sums(w: Sequence[int], k: int) -> list[int]:
+    """Largest sums of w over levels at least k apart, one prefix at a time.
+
+    With s = min(k, len(w) + 1), the list holds s zeros and then f(i), the
+    largest sum over levels in [0, i], for each i: f(i) = max(f(i - 1),
+    w[i] + f(i - k)).  A gap past the span allows one level, as k does, so
+    the clamp keeps the list short for any k.  Fed w reversed and read
+    backwards, it is the suffix recurrence g[x] = max(g[x + 1],
+    w[x] + g[x + k]) followed by s zeros.
+    """
+    back = -min(k, len(w) + 1)
+    f = [0] * -back
+    best = 0
+    for x in w:
+        take = x + f[back]
+        if take > best:
+            best = take
+        f.append(best)
+    return f
 
 
 def _ratio_scan(n: int, p: int, q: int) -> tuple[int, int, int]:
@@ -288,41 +301,32 @@ def _relaxation(
 
 def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
     # The conflict graph of KatonaGap(k) is a unit interval graph, so the
-    # best allowed set is one pass over the levels lo..hi spanned by the
-    # mask: f[i] is the best over the first i - k + 1 of them (k leading
-    # zeros), f[i] = max(f[i - 1], w'[i] + f[i - k]).  The chain bound's masks
-    # are one run of levels, so w' is w[lo:hi + 1]; a level inside the span
-    # but outside the mask gets weight 0, and dropping a level of weight 0
-    # from an allowed set keeps it allowed, so the maximum is unchanged.
+    # best allowed set is the last of the _gap_sums over the levels lo..hi
+    # spanned by the mask.  The chain bound's masks are one run of levels,
+    # so the pass reads w[lo:hi + 1]; a level inside the span but outside
+    # the mask gets weight 0, and dropping a level of weight 0 from an
+    # allowed set keeps it allowed, so the maximum is unchanged.
     def relax(w: list[int], mask: int) -> int:
         low = mask & -mask
         lo = low.bit_length() - 1
         span = w[lo : mask.bit_length()]
         if mask & (mask + low):
             span = [x if mask >> h & 1 else 0 for h, x in enumerate(span, lo)]
-        f = [0] * k
-        for x in span:
-            skip = f[-1]
-            take = x + f[-k]
-            f.append(take if take > skip else skip)
-        return f[-1]
+        return _gap_sums(span, k)[-1]
 
     return relax
 
 
 def _gap_suffix_tables(k: int, rows: list[list[int]]) -> SuffixTable:
-    # The levels compatible with b below it are [0, b - k], so for each b one
-    # backward pass g[x] = max(g[x + 1], C(b, x) + g[x + k]) gives the best
-    # allowed subset of [x, b - k] for every x; g is 0 past b - k.
+    # The levels compatible with b below it are [0, b - k], so _gap_sums
+    # over C(b, b - k), ..., C(b, 0), read backwards, gives the best allowed
+    # subset of [x, b - k] for every x and then zeros, at most b + 1 values.
     n = len(rows) - 1
     columns = []
     for b, w in enumerate(rows):
-        g = [0] * (n + 1)
-        for x in range(b - k, -1, -1):
-            skip = g[x + 1]
-            take = w[x] + g[x + k]
-            g[x] = take if take > skip else skip
-        columns.append(g)
+        g = _gap_sums(w[b - k :: -1] if b >= k else (), k)
+        g.reverse()
+        columns.append(g + [0] * (n + 1 - len(g)))
     return list(zip(*columns))
 
 
@@ -393,63 +397,42 @@ def _window_suffix_tables(conflicts: tuple[int, ...], rows: list[list[int]]) -> 
 
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     conflicts = level_conflicts(cond, n)
-    row = binomial_row(n)
+    # Level h weighs C(n, h) << (n + 1) | 1 << (n - h): the low bits add
+    # without carry and spell the set's levels, and of two sets of equal
+    # binomial weight (neither holds the other) the one holding the smallest
+    # level in which they differ weighs more.  So the heaviest allowed set
+    # is the lexicographically smallest maximizer, as an ascending sequence.
+    weight = [c << (n + 1) | 1 << (n - h) for h, c in enumerate(binomial_row(n))]
     # Relabel: bit i stands for level order[i], heaviest first (ties by
     # level), so the search decides the heavy levels first and each greedy
     # clique of the cover starts from its heaviest level.  A conflict mask is
     # permuted through its binary digits: character n - g of the padded
     # string is level g, and the new mask is read most significant bit first.
-    order = sorted(range(n + 1), key=lambda h: (-row[h], h))
-    pos = [0] * (n + 1)
-    for i, h in enumerate(order):
-        pos[h] = i
-    w = [row[h] for h in order]
+    order = sorted(range(n + 1), key=weight.__getitem__, reverse=True)
+    w = [weight[h] for h in order]
     digits = itemgetter(*[n - h for h in reversed(order)])
     masks = [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
+    top = -1
 
-    def best(avail: int, floor: int) -> int:
-        # Largest weight of an allowed subset of avail if it exceeds floor,
-        # else floor: an include-first DFS pruned by the clique cover.
-        top = floor
+    def dfs(avail: int, total: int) -> None:
+        # An include-first DFS pruned by the clique cover.
+        nonlocal top
+        if total + _clique_cover_bound(avail, masks, w) <= top:
+            return
+        if avail == 0:
+            top = total
+            return
+        low = avail & -avail
+        i = low.bit_length() - 1
+        rest = avail ^ low
+        dfs(rest & ~masks[i], total + w[i])
+        dfs(rest, total)
 
-        def dfs(avail: int, weight: int) -> None:
-            nonlocal top
-            if weight + _clique_cover_bound(avail, masks, w) <= top:
-                return
-            if avail == 0:
-                top = weight
-                return
-            low = avail & -avail
-            i = low.bit_length() - 1
-            rest = avail ^ low
-            dfs(rest & ~masks[i], weight + w[i])
-            dfs(rest, weight)
-
-        try:
-            dfs(avail, 0)
-        finally:
-            # dfs reaches itself through its closure; breaking that cycle
-            # frees it at return, not at the next full collection.
-            del dfs
-        return top
-
-    # Phase 1 finds the optimum.  Phase 2 builds the lexicographically
-    # smallest maximizer, compared as an ascending sequence: walking the
-    # levels upwards, it takes level h iff the allowed levels above h that
-    # are compatible with the chosen ones and with h still complete the
-    # optimum.  Since value is the maximum, no available level outweighs need.
-    avail = (1 << (n + 1)) - 1
-    value = need = best(avail, -1)
-    witness = []
-    for h in range(n + 1):
-        if need == 0:
-            break
-        if not avail >> pos[h] & 1:
-            continue
-        avail ^= 1 << pos[h]
-        rest = avail & ~masks[pos[h]]
-        if best(rest, need - row[h] - 1) >= need - row[h]:
-            witness.append(h)
-            need -= row[h]
-            avail = rest
-    return BoundResult(value, tuple(witness), METHOD_BRANCH_AND_BOUND)
+    try:
+        dfs((1 << (n + 1)) - 1, 0)
+    finally:
+        # dfs reaches itself through its closure; breaking that cycle frees
+        # it at return, not at the next full collection.
+        del dfs
+    witness = tuple(h for h in range(n + 1) if top >> (n - h) & 1)
+    return BoundResult(top >> (n + 1), witness, METHOD_BRANCH_AND_BOUND)

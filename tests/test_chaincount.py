@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -121,7 +122,8 @@ def conditions_on(draw, n):
     if kind == "erdos":
         return ErdosWindow(draw(st.integers(1, 6)))
     if kind == "katona":
-        return KatonaGap(draw(st.integers(1, 7)))
+        # Gaps past the span, up to one that no list of length k could hold.
+        return KatonaGap(draw(st.one_of(st.integers(1, n + 3), st.just(10**9))))
     if kind == "ratio":
         q = draw(st.integers(1, 6))
         return RatioLambda(Fraction(q + draw(st.integers(1, 3 * q)), q))
@@ -254,6 +256,23 @@ def test_optimal_levels_are_empty_past_n_plus_one(monkeypatch):
                 result = optimal_levels_for_chains(n, cond, ell)
                 assert (result.count, result.levels, result.ell) == (0, (), ell)
                 assert reference_optimal_levels_for_chains(n, cond, ell) == (0, ())
+
+
+def test_huge_gap_search_allocates_by_n_not_k():
+    # KatonaGap(10**9) allows one level at n = 10: no 2-chain, and at ell = 1
+    # the size bound's answer.  The gap passes clamp their step to the span,
+    # so the searches allocate by n, not by k.
+    cond = KatonaGap(10**9)
+    bound = size_bound(10, cond)
+    for ell, expected in ((2, (0, ())), (1, (bound.value, bound.witness))):
+        tracemalloc.start()
+        try:
+            result = optimal_levels_for_chains(10, cond, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.count, result.levels) == expected, ell
+        assert peak < 2**20, (ell, peak)
 
 
 @settings(max_examples=500, deadline=None)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,6 +101,59 @@ def reference_branch_and_bound(n, cond):
     return best_value, best_witness
 
 
+def reference_two_phase_branch_and_bound(n, cond):
+    # Reference oracle: the two-phase search size_bound used before the
+    # tie-broken weights.  Phase 1 finds the optimum with the levels
+    # relabelled heaviest first; phase 2 walks the levels upwards and takes
+    # level h iff the compatible levels above it still complete the optimum.
+    conflicts = level_conflicts(cond, n)
+    row = binomial_row(n)
+    order = sorted(range(n + 1), key=lambda h: (-row[h], h))
+    pos = [0] * (n + 1)
+    for i, h in enumerate(order):
+        pos[h] = i
+    w = [row[h] for h in order]
+    digits = itemgetter(*[n - h for h in reversed(order)])
+    masks = [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
+
+    def best(avail, floor):
+        # Largest weight of an allowed subset of avail if it exceeds floor,
+        # else floor.
+        top = floor
+
+        def dfs(avail, weight):
+            nonlocal top
+            if weight + _clique_cover_bound(avail, masks, w) <= top:
+                return
+            if avail == 0:
+                top = weight
+                return
+            low = avail & -avail
+            i = low.bit_length() - 1
+            rest = avail ^ low
+            dfs(rest & ~masks[i], weight + w[i])
+            dfs(rest, weight)
+
+        dfs(avail, 0)
+        return top
+
+    avail = (1 << (n + 1)) - 1
+    value = need = best(avail, -1)
+    witness = []
+    for h in range(n + 1):
+        if need == 0:
+            break
+        if not avail >> pos[h] & 1:
+            continue
+        avail ^= 1 << pos[h]
+        rest = avail & ~masks[pos[h]]
+        if best(rest, need - row[h] - 1) >= need - row[h]:
+            witness.append(h)
+            need -= row[h]
+            avail = rest
+    return BoundResult(value, tuple(witness), "branch-and-bound")
+
+
 def as_custom(cond, n):
     pairs = frozenset(
         (a, b)
@@ -180,6 +234,32 @@ def test_size_bound_custom_matches_reference_search(n, density, seed):
     cond = CustomPairwise(n, pairs)
     result = size_bound(n, cond)
     assert (result.value, result.witness) == reference_branch_and_bound(n, cond)
+
+
+def random_table(n, density, seed):
+    rng = random.Random(seed)
+    return CustomPairwise(
+        n,
+        frozenset(
+            (a, b) for a in range(n + 1) for b in range(a + 1, n + 1) if rng.random() < density
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_size_bound_custom_matches_two_phase_search(n, density, seed):
+    cond = random_table(n, density, seed)
+    assert size_bound(n, cond) == reference_two_phase_branch_and_bound(n, cond)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(40, 120), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+def test_size_bound_large_custom_matches_two_phase_search(n, density, seed):
+    # The bench's custom band and sparser: the sparse tables at n = 120 are
+    # the slowest searches.
+    cond = random_table(n, density, seed)
+    assert size_bound(n, cond) == reference_two_phase_branch_and_bound(n, cond)
 
 
 def test_custom_search_leaves_no_cyclic_garbage():
