@@ -73,7 +73,8 @@ def optimal_levels_for_chains(
 
     The witness is the lexicographically smallest maximizer (the empty set
     when no allowed set reaches a positive count).  Depth-first enumeration
-    over levels, ascending with the include branch first.  Each node carries
+    over levels on an explicit stack, ascending with the include branch
+    first, so no input reaches the recursion limit.  Each node carries
     the chain counts of its chosen levels (see _include) and dies when
     _chain_bound cannot beat the incumbent.  The bound relaxes the condition
     level by level with levelbounds._relaxation, the exact maximum weight of
@@ -97,37 +98,30 @@ def optimal_levels_for_chains(
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
-
     # Include-first ascending branching makes the first positive maximizer
     # found the lexicographically smallest one; zero-count ties are settled
     # by initializing the incumbent with the empty set.  A leaf's bound is its
     # count, so a leaf that survives the bound test beats the incumbent.
-    def dfs(avail: int, sums: list[list[int]], total: int, chosen: list[int]) -> None:
-        nonlocal best_count, best_witness, nodes
+    # A node is (avail, sums, total, chosen levels); the exclude child is
+    # pushed below the include child, so nodes pop in depth-first order.
+    stack = [((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, ())]
+    while stack:
+        avail, sums, total, chosen = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
                 f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
             )
         if _chain_bound(rows, conflicts, relax, first, sums, total, avail) <= best_count:
-            return
+            continue
         if avail == 0:
             best_count = total
-            best_witness = tuple(chosen)
-            return
+            best_witness = chosen
+            continue
         h = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << h)
-        chosen.append(h)
-        dfs(rest & ~conflicts[h], *_include(rows, sums, total, h), chosen)
-        chosen.pop()
-        dfs(rest, sums, total, chosen)
-
-    try:
-        dfs((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, [])
-    finally:
-        # dfs reaches itself through its closure; breaking that cycle frees
-        # the rows and the first-layer table now, not at a full collection.
-        del dfs
+        stack.append((rest, sums, total, chosen))
+        stack.append((rest & ~conflicts[h], *_include(rows, sums, total, h), (*chosen, h)))
     return ChainCountResult(best_count, best_witness, ell)
 
 

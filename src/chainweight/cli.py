@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .binom import chain_weight
 from .chaincount import (
+    DEFAULT_NODE_BUDGET,
     SearchBudgetExceeded,
     count_chains_levels,
     optimal_levels_for_chains,
@@ -463,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     chains.add_argument("--ell", type=int, required=True)
     chains.add_argument("--levels", help="comma-separated levels; omit to optimize")
     chains.add_argument(
-        "--budget", type=_positive_int, default=10**8, help="search node budget for the optimizer"
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_NODE_BUDGET,
+        help="search node budget for the optimizer",
     )
     _add_common_flags(chains, suppress=True)
     chains.set_defaults(func=cmd_chains)

@@ -413,26 +413,20 @@ def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     digits = itemgetter(*[n - h for h in reversed(order)])
     masks = [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
     top = -1
-
-    def dfs(avail: int, total: int) -> None:
-        # An include-first DFS pruned by the clique cover.
-        nonlocal top
+    # An include-first DFS pruned by the clique cover: a node is (avail,
+    # total), and the exclude child is pushed below the include child.
+    stack = [((1 << (n + 1)) - 1, 0)]
+    while stack:
+        avail, total = stack.pop()
         if total + _clique_cover_bound(avail, masks, w) <= top:
-            return
+            continue
         if avail == 0:
             top = total
-            return
+            continue
         low = avail & -avail
         i = low.bit_length() - 1
         rest = avail ^ low
-        dfs(rest & ~masks[i], total + w[i])
-        dfs(rest, total)
-
-    try:
-        dfs((1 << (n + 1)) - 1, 0)
-    finally:
-        # dfs reaches itself through its closure; breaking that cycle frees
-        # it at return, not at the next full collection.
-        del dfs
+        stack.append((rest, total))
+        stack.append((rest & ~masks[i], total + w[i]))
     witness = tuple(h for h in range(n + 1) if top >> (n - h) & 1)
     return BoundResult(top >> (n + 1), witness, METHOD_BRANCH_AND_BOUND)

@@ -1,7 +1,9 @@
 import gc
 import math
 import random
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -92,6 +94,56 @@ def reference_optimal_levels_for_chains(n, cond, ell):
 
     dfs((1 << (n + 1)) - 1, [])
     return tuple(best)
+
+
+def reference_recursive_levels_for_chains(n, cond, ell):
+    # The search as a recursive closure, before it ran on an explicit stack,
+    # with its node count.  Returns (count, levels, nodes).
+    conflicts = level_conflicts(cond, n)
+    if ell > n + 1:
+        return 0, (), 0
+    relax, tables = _relaxation(cond, conflicts)
+    rows = [binomial_row(h) for h in range(n + 1)]
+    first = tables(rows) if ell > 1 else None
+    best_count = 0
+    best_witness = ()
+    nodes = 0
+
+    def dfs(avail, sums, total, chosen):
+        nonlocal best_count, best_witness, nodes
+        nodes += 1
+        if _chain_bound(rows, conflicts, relax, first, sums, total, avail) <= best_count:
+            return
+        if avail == 0:
+            best_count = total
+            best_witness = tuple(chosen)
+            return
+        h = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << h)
+        chosen.append(h)
+        dfs(rest & ~conflicts[h], *_include(rows, sums, total, h), chosen)
+        chosen.pop()
+        dfs(rest, sums, total, chosen)
+
+    dfs((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, [])
+    return best_count, best_witness, nodes
+
+
+@contextmanager
+def shallow_recursion_limit():
+    # About 100 frames of room above the caller: a search that recurses once
+    # per level raises RecursionError at a few hundred levels.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def reference_chain_bound(rows, conflicts, relax, sums, total, avail):
@@ -239,6 +291,38 @@ def test_optimal_levels_match_reference_search(data, n, ell):
     cond = data.draw(conditions_on(n))
     result = optimal_levels_for_chains(n, cond, ell)
     assert (result.count, result.levels) == reference_optimal_levels_for_chains(n, cond, ell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(1, 4))
+def test_optimal_levels_match_recursive_search_node_for_node(data, n, ell):
+    # The stack search visits the recursive search's nodes in the same
+    # order: same answer within its node count, over budget one node short.
+    cond = data.draw(conditions_on(n))
+    count, levels, nodes = reference_recursive_levels_for_chains(n, cond, ell)
+    result = optimal_levels_for_chains(n, cond, ell, node_budget=nodes)
+    assert (result.count, result.levels) == (count, levels)
+    if nodes:
+        with pytest.raises(SearchBudgetExceeded):
+            optimal_levels_for_chains(n, cond, ell, node_budget=nodes - 1)
+
+
+def test_single_chain_search_runs_under_a_shallow_recursion_limit():
+    # At ell = 1 the Antichain search excludes level after level: a few
+    # hundred nodes deep at n = 400.
+    with shallow_recursion_limit():
+        result = optimal_levels_for_chains(400, Antichain(), 1)
+        expected = size_bound(400, Antichain())
+    assert (result.count, result.levels) == (expected.value, expected.witness)
+
+
+def test_gap_chain_search_runs_under_a_shallow_recursion_limit():
+    # The KatonaGap(3) witness at n = 300 takes 101 levels, one include each.
+    with shallow_recursion_limit():
+        result = optimal_levels_for_chains(300, KatonaGap(3), 2)
+        count = count_chains_levels(300, result.levels, 2)
+    assert result.levels == tuple(range(0, 301, 3))
+    assert result.count == count
 
 
 def test_optimal_levels_are_empty_past_n_plus_one(monkeypatch):

@@ -24,6 +24,7 @@ from chainweight import (
     integer_ratio_levels,
     katona_bound,
     level_conflicts,
+    optimal_levels_for_chains,
     ratio_window_weight,
     residue_class_weights,
     size_bound,
@@ -31,6 +32,7 @@ from chainweight import (
 )
 from chainweight.levelbounds import _clique_cover_bound
 from test_binom import full_recurrence_row
+from test_chaincount import shallow_recursion_limit
 
 RATIOS = [Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(5, 2)]
 
@@ -277,6 +279,18 @@ def test_custom_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_custom_search_runs_under_a_shallow_recursion_limit():
+    # One forbidden pair at n = 400: the heaviest-first search includes
+    # level after level, 400 nodes deep, and so does the ell = 1 chain search.
+    n = 400
+    cond = CustomPairwise(n, frozenset({(0, 1)}))
+    with shallow_recursion_limit():
+        result = size_bound(n, cond)
+        chains = optimal_levels_for_chains(n, cond, 1)
+    assert result == BoundResult(2**n - 1, tuple(range(1, n + 1)), "branch-and-bound")
+    assert (chains.count, chains.levels) == (result.value, result.witness)
 
 
 def test_size_bound_degenerate_n0():
