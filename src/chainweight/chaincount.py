@@ -10,8 +10,16 @@ from typing import Callable, Iterable, Sequence
 # binomial is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
 from .binom import binomial, binomial_row  # noqa: F401
-from .conditions import Condition, level_conflicts, normalize_levels
-from .levelbounds import SuffixTable, _relaxation
+from .conditions import (
+    Antichain,
+    Condition,
+    ErdosWindow,
+    IntegerRatio,
+    RatioLambda,
+    level_conflicts,
+    normalize_levels,
+)
+from .levelbounds import SuffixTable, _relaxation, size_bound
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -72,29 +80,32 @@ def optimal_levels_for_chains(
     """Exact maximum of count_chains_levels over all level sets allowed by cond.
 
     The witness is the lexicographically smallest maximizer (the empty set
-    when no allowed set reaches a positive count).  Depth-first enumeration
-    over levels on an explicit stack, ascending with the include branch
-    first, so no input reaches the recursion limit.  Each node carries
+    when no allowed set reaches a positive count).  At ell = 1 a level set's
+    count is its weight, so this is size_bound's answer.  Antichain,
+    ErdosWindow and the ratio conditions take one scan over windows of
+    levels (see _best_window).  KatonaGap and custom tables at ell >= 2 are
+    searched depth first on an explicit stack, ascending with the include
+    branch first, so no input reaches the recursion limit; each node carries
     the chain counts of its chosen levels (see _include) and dies when
-    _chain_bound cannot beat the incumbent.  The bound relaxes the condition
-    level by level with levelbounds._relaxation, the exact maximum weight of
-    an allowed subset for the named conditions (a clique cover for a custom
-    table); its first layer does not depend on the node and is built once per
-    search.
-    Raises SearchBudgetExceeded after node_budget search nodes.
+    _chain_bound cannot beat the incumbent.  node_budget counts the nodes of
+    that search, the only one with any; past it SearchBudgetExceeded is raised.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
+    if ell == 1:
+        bound = size_bound(n, cond)
+        return ChainCountResult(bound.value, bound.witness, ell)
     conflicts = level_conflicts(cond, n)
     if ell > n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
-    relax, tables = _relaxation(cond, conflicts)
     rows = [binomial_row(h) for h in range(n + 1)]
-    # The first layer is read only when there are chains to extend.
-    first = tables(rows) if ell > 1 else None
+    if isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
+        return _best_window(rows, conflicts, ell)
+    relax, tables = _relaxation(cond, conflicts)
+    first = tables(rows)
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
@@ -123,6 +134,35 @@ def optimal_levels_for_chains(
         stack.append((rest, sums, total, chosen))
         stack.append((rest & ~conflicts[h], *_include(rows, sums, total, h), (*chosen, h)))
     return ChainCountResult(best_count, best_witness, ell)
+
+
+def _best_window(rows: list[list[int]], conflicts: tuple[int, ...], ell: int) -> ChainCountResult:
+    # Under Antichain, ErdosWindow and the ratio conditions a pair a < b
+    # conflicts iff b > top(a), and top never decreases, so the allowed sets
+    # are exactly the subsets of the windows [m, top(m)].  top(m) is the
+    # level below m's first conflict above it, or n if none.  In a level set
+    # with an ell-chain every level lies on one, so adding a level adds
+    # chains: every positive maximizer is a whole window, and the smallest m
+    # wins ties.  Once top(m) = n every later window lies inside this one.
+    n = len(rows) - 1
+    best_count = 0
+    best_witness: tuple[int, ...] = ()
+    for m in range(n + 1):
+        above = conflicts[m] >> (m + 1)
+        top = m + (above & -above).bit_length() - 1 if above else n
+        count = _count_window(rows, m, top, ell)
+        if count > best_count:
+            best_count = count
+            best_witness = tuple(range(m, top + 1))
+        if top == n:
+            break
+    return ChainCountResult(best_count, best_witness, ell)
+
+
+def _count_window(rows: list[list[int]], lo: int, hi: int, ell: int) -> int:
+    # ell-chains in the union of the levels lo..hi of 2^[n], n = len(rows) - 1.
+    below = [rows[h][lo:h] for h in range(lo, hi + 1)]
+    return _count_from_sorted(below, rows[-1][lo : hi + 1], ell)
 
 
 def _include(
@@ -156,19 +196,18 @@ def _chain_bound(
 ) -> int:
     """Upper bound on the ell-chains of chosen | S over allowed S within avail.
 
-    With (sums, total) the state of the chosen levels (see _include), every
-    level of avail above every chosen one and compatible with all of them:
-    U_1(b) = 1, U_j(b) = sums[j-2][b] + relax(weights C(b, a) * U_{j-1}(a),
-    levels of avail below b that do not conflict with b), and the bound is
-    total + relax(weights C(n, b) * U_ell(b), avail).  relax is
-    levelbounds._relaxation, which is at least the weight of every pairwise
-    compatible subset of its mask for nonnegative weights: exactly the
-    largest such weight for the named conditions, a clique cover for a
-    custom table.  first, the table _relaxation builds for a named
-    condition, replaces the relax of U_2: with lo the lowest level of avail,
-    first[lo][b] relaxes the weights C(b, a) over the levels of [lo, b)
-    that do not conflict with b.  For a custom table first is None and U_2
-    is relaxed at the node.
+    For ell >= 2, with (sums, total) the state of the chosen levels (see
+    _include), every level of avail above every chosen one and compatible
+    with all of them: U_1(b) = 1, U_j(b) = sums[j-2][b] + relax(weights
+    C(b, a) * U_{j-1}(a), levels of avail below b that do not conflict with
+    b), and the bound is total + relax(weights C(n, b) * U_ell(b), avail).
+    relax is levelbounds._relaxation, which is at least the weight of every
+    pairwise compatible subset of its mask for nonnegative weights: exactly
+    the largest such weight for KatonaGap, a clique cover for a custom
+    table.  first, the table _relaxation builds for KatonaGap, replaces the
+    relax of U_2: with lo the lowest level of avail, first[lo][b] relaxes
+    the weights C(b, a) over the levels of [lo, b) that do not conflict with
+    b.  For a custom table first is None and U_2 is relaxed at the node.
 
     Admissible: S is allowed, so the levels of S below b lie in b's relax
     mask and are pairwise compatible.  By induction on j, u_j(b) in
@@ -178,7 +217,7 @@ def _chain_bound(
     chains that end in S, and total counts those that end in chosen.  The
     table's mask for b holds b's relax mask, since avail lies in [lo, n];
     the largest allowed weight of a superset is no smaller, so U_2 stays an
-    upper bound.  The named conditions' searches keep avail one run of
+    upper bound.  The KatonaGap searches keep avail one run of
     levels from lo (including lo removes a run above it, excluding lo
     removes lo), and there the two masks are equal.
     """
@@ -186,7 +225,7 @@ def _chain_bound(
         return total
     n = len(rows) - 1
     ubar = None  # U_1 = 1 everywhere
-    if first is not None and sums:
+    if first is not None:
         ubar = list(map(add, sums[0], first[(avail & -avail).bit_length() - 1]))
         sums = sums[1:]
     levels = _bit_levels(avail) if sums else ()
@@ -199,8 +238,7 @@ def _chain_bound(
                 w = rows[b] if ubar is None else list(map(mul, rows[b], ubar))
                 nxt[b] += relax(w, below)
         ubar = nxt
-    top = rows[n] if ubar is None else list(map(mul, rows[n], ubar))
-    return total + relax(top, avail)
+    return total + relax(list(map(mul, rows[n], ubar)), avail)
 
 
 def _bit_levels(mask: int) -> list[int]:
@@ -236,8 +274,7 @@ def best_window_for_chains(n: int, k: int, ell: int) -> tuple[int, tuple[int, ..
     best_count = -1
     argmax: list[int] = []
     for i in range(n - k + 1):
-        below = [rows[h][i:h] for h in range(i, i + k + 1)]
-        count = _count_from_sorted(below, rows[n][i : i + k + 1], ell)
+        count = _count_window(rows, i, i + k, ell)
         if count > best_count:
             best_count = count
             argmax = [i]

@@ -13,6 +13,7 @@ checks never load it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -124,6 +125,10 @@ class FamilyMask:
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "FamilyMask":
+        # Hex digits only: int(text, 16) also takes signs, spaces, underscores
+        # and a 0x prefix.
+        if re.fullmatch("[0-9a-fA-F]+", text) is None:
+            raise ValueError(f"family must be hex digits, got {text!r}")
         return cls(n, int(text, 16))
 
     def to_hex(self) -> str:
@@ -380,75 +385,64 @@ def _max_compatible_clique(
     compatible: list[int], universe: int, incumbent: int
 ) -> tuple[int, int]:
     # Max clique in the compatibility graph with greedy-coloring bounds.
-    best_size = incumbent.bit_count()
-    best_bits = incumbent
+    best = [incumbent.bit_count(), incumbent]
+    _expand_clique(compatible, best, 0, 0, universe)
+    return best[0], best[1]
 
-    def expand(size: int, bits: int, candidates: int) -> None:
-        nonlocal best_size, best_bits
-        if candidates == 0:
-            if size > best_size:
-                best_size = size
-                best_bits = bits
+
+def _expand_clique(
+    compatible: list[int], best: list[int], size: int, bits: int, candidates: int
+) -> None:
+    # One node of _max_compatible_clique; best is [size, bits] of the incumbent.
+    if candidates == 0:
+        if size > best[0]:
+            best[:] = size, bits
+        return
+    colored: list[tuple[int, int]] = []
+    pool = candidates
+    color = 0
+    while pool:
+        color += 1
+        members = pool
+        while members:
+            v = (members & -members).bit_length() - 1
+            colored.append((v, color))
+            pool &= ~(1 << v)
+            members &= ~(1 << v) & ~compatible[v]
+    for v, bound in reversed(colored):
+        if size + bound <= best[0]:
             return
-        colored: list[tuple[int, int]] = []
-        pool = candidates
-        color = 0
-        while pool:
-            color += 1
-            members = pool
-            while members:
-                v = (members & -members).bit_length() - 1
-                colored.append((v, color))
-                pool &= ~(1 << v)
-                members &= ~(1 << v) & ~compatible[v]
-        for v, bound in reversed(colored):
-            if size + bound <= best_size:
-                return
-            bit = 1 << v
-            expand(size + 1, bits | bit, candidates & compatible[v])
-            candidates &= ~bit
-
-    try:
-        expand(0, 0, universe)
-    finally:
-        # expand reaches itself through its closure; breaking that cycle
-        # frees it at return, not at the next full collection.
-        del expand
-    return best_size, best_bits
+        bit = 1 << v
+        _expand_clique(compatible, best, size + 1, bits | bit, candidates & compatible[v])
+        candidates &= ~bit
 
 
-def _maximal_families(compatible: list[int], universe: int) -> Iterator[int]:
+def _maximal_families(compatible: list[int], r: int, p: int, x: int) -> Iterator[int]:
     # Bron-Kerbosch with pivoting over the compatibility graph; yields every
-    # maximal satisfying family as a vertex bitset.
-    def bk(r: int, p: int, x: int) -> Iterator[int]:
-        if p == 0 and x == 0:
-            yield r
-            return
-        pool = p | x
-        pivot = (pool & -pool).bit_length() - 1
-        best_cover = -1
-        probe = pool
-        while probe:
-            u = (probe & -probe).bit_length() - 1
-            cover = (p & compatible[u]).bit_count()
-            if cover > best_cover:
-                best_cover = cover
-                pivot = u
-            probe &= probe - 1
-        branch = p & ~compatible[pivot]
-        while branch:
-            v = (branch & -branch).bit_length() - 1
-            bit = 1 << v
-            yield from bk(r | bit, p & compatible[v], x & compatible[v])
-            p &= ~bit
-            x |= bit
-            branch &= branch - 1
-
-    try:
-        yield from bk(0, universe, 0)
-    finally:
-        # bk reaches itself through its closure; see _max_compatible_clique.
-        del bk
+    # maximal satisfying family containing r, with candidates p and excluded
+    # vertices x, as a vertex bitset.
+    if p == 0 and x == 0:
+        yield r
+        return
+    pool = p | x
+    pivot = (pool & -pool).bit_length() - 1
+    best_cover = -1
+    probe = pool
+    while probe:
+        u = (probe & -probe).bit_length() - 1
+        cover = (p & compatible[u]).bit_count()
+        if cover > best_cover:
+            best_cover = cover
+            pivot = u
+        probe &= probe - 1
+    branch = p & ~compatible[pivot]
+    while branch:
+        v = (branch & -branch).bit_length() - 1
+        bit = 1 << v
+        yield from _maximal_families(compatible, r | bit, p & compatible[v], x & compatible[v])
+        p &= ~bit
+        x |= bit
+        branch &= branch - 1
 
 
 def max_chains_family(
@@ -479,7 +473,7 @@ def max_chains_family(
     compatible, universe = _compatibility(conflicts, n)
     best_count = 0
     best_bits = 0
-    for bits in _maximal_families(compatible, universe):
+    for bits in _maximal_families(compatible, 0, universe, 0):
         count = count_chains_family(FamilyMask(n, bits), ell)
         if count > best_count or (count == best_count and bits < best_bits):
             best_count = count

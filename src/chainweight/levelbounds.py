@@ -279,24 +279,23 @@ def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) ->
 def _relaxation(
     cond: Condition, conflicts: tuple[int, ...]
 ) -> tuple[Callable[[list[int], int], int], Callable[[list[list[int]]], SuffixTable | None]]:
-    """(relax, tables) for the chain search's bound.
+    """(relax, tables) for the chain search's bound, which serves KatonaGap and
+    custom tables; any other condition raises TypeError.
 
     relax(w, mask) is the largest sum of w over allowed subsets of the levels
-    in mask: exact for the named conditions and nonnegative w; a custom table
-    gets the clique cover, which is at least that maximum.  tables(rows)
-    builds the bound's state-free first layer from the binomial rows:
-    first[x][b] = relax(rows[b], levels of [x, b) compatible with b) for
-    every x and b, or None for a custom table, whose search needs the relax
-    of every node's own mask.  The condition type is resolved here, once, so
-    the returned functions do no dispatch.
+    in mask: exact for KatonaGap and nonnegative w; a custom table gets the
+    clique cover, which is at least that maximum.  tables(rows) builds the
+    bound's state-free first layer from the binomial rows: first[x][b] =
+    relax(rows[b], levels of [x, b) compatible with b) for every x and b, or
+    None for a custom table, whose search needs the relax of every node's
+    own mask.  The condition type is resolved here, once, so the returned
+    functions do no dispatch.
     """
     if isinstance(cond, CustomPairwise):
         return (lambda w, mask: _clique_cover_bound(mask, conflicts, w)), lambda rows: None
     if isinstance(cond, KatonaGap):
         return _gap_relaxation(cond.k), partial(_gap_suffix_tables, cond.k)
-    if isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
-        return _window_relaxation(conflicts), partial(_window_suffix_tables, conflicts)
-    raise TypeError(f"not a condition: {cond!r}")
+    raise TypeError(f"no chain search relaxation for {cond!r}")
 
 
 def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
@@ -327,71 +326,6 @@ def _gap_suffix_tables(k: int, rows: list[list[int]]) -> SuffixTable:
         g = _gap_sums(w[b - k :: -1] if b >= k else (), k)
         g.reverse()
         columns.append(g + [0] * (n + 1 - len(g)))
-    return list(zip(*columns))
-
-
-def _window_relaxation(conflicts: tuple[int, ...]) -> Callable[[list[int], int], int]:
-    # Under Antichain, ErdosWindow and the ratio conditions a pair a < b
-    # conflicts iff b > top(a), and top never decreases (top(a) is a, a + k or
-    # floor((p*a - 1) / q), and 0 for level 0 under a ratio; it is read off
-    # the conflict masks below, clipped to the last level).  A set is then
-    # allowed iff its maximum is at most top(its minimum), so the mask levels
-    # whose top reaches the newest level h form an allowed window, and the
-    # best set with minimum m lies inside the window at the last level
-    # <= top(m).  The tail pointer t drops the window's levels whose top
-    # falls below h; top(h) >= h keeps it at or below h.
-    last = len(conflicts) - 1
-    tops = []
-    for a, mask in enumerate(conflicts):
-        above = mask >> (a + 1)
-        tops.append(a + (above & -above).bit_length() - 1 if above else last)
-
-    def relax(w: list[int], mask: int) -> int:
-        tail = mask
-        t = (tail & -tail).bit_length() - 1
-        reach = tops[t]
-        if mask.bit_length() - 1 <= reach:
-            # The whole mask is allowed, as the chain bound's masks below a
-            # level mostly are: its weight is the answer.
-            window = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                window += w[low.bit_length() - 1]
-            return window
-        window = top = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            h = low.bit_length() - 1
-            while reach < h:
-                window -= w[t]
-                tail &= tail - 1
-                t = (tail & -tail).bit_length() - 1
-                reach = tops[t]
-            window += w[h]
-            if window > top:
-                top = window
-        return top
-
-    return relax
-
-
-def _window_suffix_tables(conflicts: tuple[int, ...], rows: list[list[int]]) -> SuffixTable:
-    # The levels compatible with b below it are those whose top reaches b: a
-    # run [s, b - 1], allowed as a whole (see _window_relaxation), so the best
-    # allowed subset of [x, b) is the sum of that run from max(x, s) up.
-    n = len(rows) - 1
-    columns = []
-    for b, w in enumerate(rows):
-        below = ~conflicts[b] & ((1 << b) - 1)
-        if not below:
-            columns.append([0] * (n + 1))
-            continue
-        s = (below & -below).bit_length() - 1
-        suffix = list(accumulate(reversed(w[s:b])))
-        suffix.reverse()
-        columns.append([suffix[0]] * s + suffix + [0] * (n + 1 - b))
     return list(zip(*columns))
 
 

@@ -98,13 +98,14 @@ def reference_optimal_levels_for_chains(n, cond, ell):
 
 def reference_recursive_levels_for_chains(n, cond, ell):
     # The search as a recursive closure, before it ran on an explicit stack,
-    # with its node count.  Returns (count, levels, nodes).
+    # with its node count, for KatonaGap and custom tables at ell >= 2.
+    # Returns (count, levels, nodes).
     conflicts = level_conflicts(cond, n)
     if ell > n + 1:
         return 0, (), 0
     relax, tables = _relaxation(cond, conflicts)
     rows = [binomial_row(h) for h in range(n + 1)]
-    first = tables(rows) if ell > 1 else None
+    first = tables(rows)
     best_count = 0
     best_witness = ()
     nodes = 0
@@ -165,10 +166,16 @@ def reference_chain_bound(rows, conflicts, relax, sums, total, avail):
     return total + relax(top, avail)
 
 
+ALL_KINDS = ("antichain", "erdos", "katona", "ratio", "intratio", "custom")
+# The conditions whose chain optima take a search, and so a relaxation.
+SEARCHED_KINDS = ("katona", "custom")
+
+
 @st.composite
-def conditions_on(draw, n):
-    # Every condition type, with custom tables of random density on [n].
-    kind = draw(st.sampled_from(("antichain", "erdos", "katona", "ratio", "intratio", "custom")))
+def conditions_on(draw, n, kinds=ALL_KINDS):
+    # A condition of one of the given kinds, with custom tables of random
+    # density on [n].
+    kind = draw(st.sampled_from(kinds))
     if kind == "antichain":
         return Antichain()
     if kind == "erdos":
@@ -254,14 +261,18 @@ def test_optimal_levels_matches_exhaustive_scan():
         Antichain(),
         ErdosWindow(1),
         ErdosWindow(2),
+        ErdosWindow(3),
         KatonaGap(2),
         KatonaGap(3),
         RatioLambda(Fraction(3, 2)),
         RatioLambda(Fraction(2)),
+        RatioLambda(Fraction(5, 2)),
+        IntegerRatio(2),
     ]
+    counts = {}  # the conditions share most of their allowed level sets
     for n in range(0, 9):
         for cond in conds:
-            for ell in (1, 2, 3):
+            for ell in (1, 2, 3, 4):
                 best_count = 0
                 best_levels = ()
                 for t in range(n + 2):
@@ -271,7 +282,10 @@ def test_optimal_levels_matches_exhaustive_scan():
                             for a, b in combinations(levels, 2)
                         ):
                             continue
-                        count = chains_by_enumeration(n, levels, ell)
+                        key = (n, levels, ell)
+                        if key not in counts:
+                            counts[key] = chains_by_enumeration(n, levels, ell)
+                        count = counts[key]
                         if count > best_count or (
                             count == best_count and levels < best_levels
                         ):
@@ -294,11 +308,11 @@ def test_optimal_levels_match_reference_search(data, n, ell):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(1, 4))
+@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(2, 4))
 def test_optimal_levels_match_recursive_search_node_for_node(data, n, ell):
     # The stack search visits the recursive search's nodes in the same
     # order: same answer within its node count, over budget one node short.
-    cond = data.draw(conditions_on(n))
+    cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     count, levels, nodes = reference_recursive_levels_for_chains(n, cond, ell)
     result = optimal_levels_for_chains(n, cond, ell, node_budget=nodes)
     assert (result.count, result.levels) == (count, levels)
@@ -308,8 +322,8 @@ def test_optimal_levels_match_recursive_search_node_for_node(data, n, ell):
 
 
 def test_single_chain_search_runs_under_a_shallow_recursion_limit():
-    # At ell = 1 the Antichain search excludes level after level: a few
-    # hundred nodes deep at n = 400.
+    # At ell = 1 the answer is size_bound's, whose Antichain optimizer scans
+    # the row; a search that recursed once per level would fail at n = 400.
     with shallow_recursion_limit():
         result = optimal_levels_for_chains(400, Antichain(), 1)
         expected = size_bound(400, Antichain())
@@ -362,8 +376,8 @@ def test_huge_gap_search_allocates_by_n_not_k():
 @settings(max_examples=500, deadline=None)
 @given(data=st.data(), n=st.integers(0, 14))
 def test_relaxation_is_the_best_allowed_weight(data, n):
-    # Exact for the named conditions; at least the best for a custom table.
-    cond = data.draw(conditions_on(n))
+    # Exact for KatonaGap; at least the best for a custom table.
+    cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
     w = data.draw(st.lists(st.integers(0, 10**6), min_size=n + 1, max_size=n + 1))
     if data.draw(st.booleans()):
@@ -383,6 +397,10 @@ def test_relaxation_is_the_best_allowed_weight(data, n):
 def test_relaxation_rejects_non_conditions():
     with pytest.raises(TypeError):
         _relaxation("antichain", level_conflicts(Antichain(), 3))
+    # The window conditions' chain optima take no search, so no relaxation.
+    for cond in (Antichain(), ErdosWindow(2), RatioLambda(Fraction(3, 2)), IntegerRatio(2)):
+        with pytest.raises(TypeError):
+            _relaxation(cond, level_conflicts(cond, 3))
 
 
 def search_state(data, n, ell, conflicts, cut):
@@ -401,7 +419,7 @@ def search_state(data, n, ell, conflicts, cut):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(0, 12), ell=st.integers(1, 4))
+@given(data=st.data(), n=st.integers(0, 12), ell=st.integers(2, 4))
 def test_chain_bound_is_admissible(data, n, ell):
     # A search node: an allowed chosen set below a cut, and as avail some of
     # the levels from the cut up that are compatible with every chosen level,
@@ -410,7 +428,7 @@ def test_chain_bound_is_admissible(data, n, ell):
     # _chain_bound needs only that avail lies above the chosen levels, and a
     # mask that is not one run of levels reads the table's first layer on a
     # superset of each level's mask.
-    cond = data.draw(conditions_on(n))
+    cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
     relax, tables = _relaxation(cond, conflicts)
     cut = data.draw(st.integers(0, n + 1))
@@ -436,10 +454,10 @@ def test_chain_bound_is_admissible(data, n, ell):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(0, 30), ell=st.integers(2, 4))
 def test_chain_bound_matches_reference_on_runs(data, n, ell):
-    # The named conditions' searches only ever ask for one run of levels
-    # [lo, hi) above the chosen ones; there the first layer read from the
-    # table equals the per-node relax, so bounds and node counts are unchanged.
-    cond = data.draw(st.sampled_from(NAMED_CONDITIONS))
+    # The KatonaGap searches only ever ask for one run of levels [lo, hi)
+    # above the chosen ones; there the first layer read from the table
+    # equals the per-node relax, so bounds and node counts are unchanged.
+    cond = data.draw(st.sampled_from([c for c in NAMED_CONDITIONS if isinstance(c, KatonaGap)]))
     conflicts = level_conflicts(cond, n)
     relax, tables = _relaxation(cond, conflicts)
     lo = data.draw(st.integers(0, n + 1))
@@ -457,7 +475,7 @@ def test_suffix_tables_are_the_best_allowed_weights(data, n):
     # first[x][b] is the largest weight rows[b][a] of an allowed subset of the
     # levels of [x, b) that do not conflict with b, for random nonnegative
     # rows; a custom table builds none.
-    cond = data.draw(conditions_on(n))
+    cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
     rows = [
         data.draw(st.lists(st.integers(0, 10**6), min_size=n + 1, max_size=n + 1))
@@ -505,25 +523,56 @@ def seeded_custom_tables():
     return params
 
 
+def forbid_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("level search ran")
+
+    monkeypatch.setattr(chaincount, "_chain_bound", no_search)
+    monkeypatch.setattr(chaincount, "_relaxation", no_search)
+
+
 @pytest.mark.parametrize("cond", (*NAMED_CONDITIONS, *seeded_custom_tables()), ids=repr)
-def test_single_chains_match_size_bound(cond):
-    # At ell = 1 the chain count of a level set is its weight, so the search
-    # must return size_bound's value and witness.  For a named condition the
-    # root bound must already be that value: the relaxation is exact.  A
-    # custom table checks two independent solvers against each other (this
-    # search branches on ascending levels, size_bound on the heaviest first),
-    # and its clique-cover root bound need only be admissible.
+def test_single_chains_match_size_bound(cond, monkeypatch):
+    # At ell = 1 the chain count of a level set is its weight, so the answer
+    # is size_bound's value and witness, taken before any search or conflict
+    # compile of its own; a custom table is still refused past its range.
+    forbid_search(monkeypatch)
+
+    def no_compile(*args):
+        raise AssertionError("conflicts compiled")
+
+    monkeypatch.setattr(chaincount, "level_conflicts", no_compile)
     custom = isinstance(cond, CustomPairwise)
     for n in (cond.n,) if custom else (*range(41), 60, 100, 120):
         expected = size_bound(n, cond)
-        result = optimal_levels_for_chains(n, cond, 1)
+        result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
         assert (result.count, result.levels) == (expected.value, expected.witness), n
-        conflicts = level_conflicts(cond, n)
-        rows = [binomial_row(h) for h in range(n + 1)]
-        relax = _relaxation(cond, conflicts)[0]
-        root = _chain_bound(rows, conflicts, relax, None, [], 0, (1 << (n + 1)) - 1)
-        assert root >= expected.value, n
-        assert custom or root == expected.value, n
+    if custom:
+        with pytest.raises(ValueError, match="exceeds the table range"):
+            optimal_levels_for_chains(cond.n + 1, cond, 1)
+
+
+def test_windows_and_single_chains_run_no_search(monkeypatch):
+    # Antichain, ErdosWindow and the ratio conditions at ell >= 2, and every
+    # condition type at ell = 1, are answered without the level search: its
+    # bound and relaxation raise here, and a node budget of 0 is not spent.
+    forbid_search(monkeypatch)
+    for cond in (c for c in NAMED_CONDITIONS if not isinstance(c, KatonaGap)):
+        for n in (*range(41), 60, 100, 120):
+            for ell in (2, 3, 4):
+                result = optimal_levels_for_chains(n, cond, ell, node_budget=0)
+                assert allowed_levels(cond, result.levels), (cond, n, ell)
+                assert result.count == count_chains_levels(n, result.levels, ell), (cond, n, ell)
+                # A positive optimum is a whole window of consecutive levels.
+                if result.levels:
+                    lo, hi = result.levels[0], result.levels[-1]
+                    assert result.levels == tuple(range(lo, hi + 1)), (cond, n, ell)
+    table = CustomPairwise(20, frozenset((a, a + 2) for a in range(19)))
+    for cond in (*NAMED_CONDITIONS, table):
+        for n in (0, 1, 7, 20):
+            expected = size_bound(n, cond)
+            result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
+            assert (result.count, result.levels) == (expected.value, expected.witness), (cond, n)
 
 
 def test_optimal_levels_witness_is_allowed():

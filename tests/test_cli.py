@@ -193,6 +193,14 @@ def test_verify_family_hex():
     assert report["outputs"]["within_bound"] is True
 
 
+@pytest.mark.parametrize("text", ["f_f", "+ff", " ff", "-0"])
+def test_verify_family_rejects_malformed_hex(text):
+    result = run_cli("verify", "--n", "3", "--condition", "antichain", "--family", text)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "hex digits" in result.stderr
+
+
 def test_verify_cap_requires_flag():
     result = run_cli("verify", "--n", "9", "--condition", "antichain")
     assert result.returncode == 1

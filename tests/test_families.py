@@ -273,6 +273,14 @@ def test_family_mask_hex_roundtrip(n, data):
     assert len(fam.to_hex()) == max(1, (1 << n) // 4)
 
 
+@pytest.mark.parametrize("text", ["f_f", "+ff", " ff", "-0", "0xff", "ff\n", "", "\u0661"])
+def test_family_mask_from_hex_takes_hex_digits_only(text):
+    # int(text, 16) would read the first six as 255 or 0, and "\u0661" as 1.
+    with pytest.raises(ValueError, match="hex digits"):
+        FamilyMask.from_hex(4, text)
+    assert FamilyMask.from_hex(4, "00fF").bits == 0xFF
+
+
 def test_family_satisfies_examples():
     all_pairs_of_4 = FamilyMask.from_levels(4, [2])
     assert family_satisfies(all_pairs_of_4, Antichain()) is True
@@ -722,7 +730,7 @@ def test_max_chains_family_cap():
 def test_max_chains_family_past_n_plus_one_skips_the_search(monkeypatch):
     # No family of subsets of [n] has a chain of n + 2 sets, so the answer is
     # (0, empty family) without enumerating; every refusal still comes first.
-    def no_search(compatible, universe):
+    def no_search(*args):
         raise AssertionError("maximal families enumerated")
 
     monkeypatch.setattr(families, "_maximal_families", no_search)
