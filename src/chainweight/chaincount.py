@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -13,13 +14,15 @@ from .binom import binomial, binomial_row  # noqa: F401
 from .conditions import (
     Antichain,
     Condition,
+    CustomPairwise,
     ErdosWindow,
     IntegerRatio,
+    KatonaGap,
     RatioLambda,
     level_conflicts,
     normalize_levels,
 )
-from .levelbounds import SuffixTable, _relaxation, size_bound
+from .levelbounds import _clique_cover_bound, _gap_sums, size_bound
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -44,6 +47,8 @@ def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
     levels h' of C(h, h') * u_{j-1}(h'), and the total is
     sum_h C(n, h) * u_ell(h).  Returns 0 when fewer than ell levels are given.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     hs = normalize_levels(levels)
@@ -89,6 +94,7 @@ def optimal_levels_for_chains(
     the chain counts of its chosen levels (see _include) and dies when
     _chain_bound cannot beat the incumbent.  node_budget counts the nodes of
     that search, the only one with any; past it SearchBudgetExceeded is raised.
+    Any other condition type raises TypeError at ell <= n + 1.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -102,10 +108,16 @@ def optimal_levels_for_chains(
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
     rows = [binomial_row(h) for h in range(n + 1)]
-    if isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
+    if isinstance(cond, KatonaGap):
+        relax = partial(_gap_relax, cond.k)
+        first = _gap_first_layer(cond.k, rows)
+    elif isinstance(cond, CustomPairwise):
+        relax = partial(_clique_cover_bound, conflicts)
+        first = None
+    elif isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
         return _best_window(rows, conflicts, ell)
-    relax, tables = _relaxation(cond, conflicts)
-    first = tables(rows)
+    else:
+        raise TypeError(f"not a condition: {cond!r}")
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
@@ -189,7 +201,7 @@ def _chain_bound(
     rows: list[list[int]],
     conflicts: tuple[int, ...],
     relax: Callable[[list[int], int], int],
-    first: SuffixTable | None,
+    first: list[Sequence[int]] | None,
     sums: list[list[int]],
     total: int,
     avail: int,
@@ -201,13 +213,13 @@ def _chain_bound(
     with all of them: U_1(b) = 1, U_j(b) = sums[j-2][b] + relax(weights
     C(b, a) * U_{j-1}(a), levels of avail below b that do not conflict with
     b), and the bound is total + relax(weights C(n, b) * U_ell(b), avail).
-    relax is levelbounds._relaxation, which is at least the weight of every
-    pairwise compatible subset of its mask for nonnegative weights: exactly
-    the largest such weight for KatonaGap, a clique cover for a custom
-    table.  first, the table _relaxation builds for KatonaGap, replaces the
-    relax of U_2: with lo the lowest level of avail, first[lo][b] relaxes
-    the weights C(b, a) over the levels of [lo, b) that do not conflict with
-    b.  For a custom table first is None and U_2 is relaxed at the node.
+    relax(w, mask) is at least the largest sum of nonnegative weights w over
+    the pairwise compatible subsets of mask: exactly that for KatonaGap
+    (_gap_relax), a clique cover for a custom table (_clique_cover_bound).
+    first, which _gap_first_layer builds for KatonaGap, replaces the relax
+    of U_2: with lo the lowest level of avail, first[lo][b] relaxes the
+    weights C(b, a) over the levels of [lo, b) that do not conflict with b.
+    For a custom table first is None and U_2 is relaxed at the node.
 
     Admissible: S is allowed, so the levels of S below b lie in b's relax
     mask and are pairwise compatible.  By induction on j, u_j(b) in
@@ -239,6 +251,35 @@ def _chain_bound(
                 nxt[b] += relax(w, below)
         ubar = nxt
     return total + relax(list(map(mul, rows[n], ubar)), avail)
+
+
+def _gap_relax(k: int, w: list[int], mask: int) -> int:
+    # The conflict graph of KatonaGap(k) is a unit interval graph, so the
+    # best allowed set is the last of the _gap_sums over the levels lo..hi
+    # spanned by the mask.  The chain bound's masks are one run of levels,
+    # so the pass reads w[lo:hi + 1]; a level inside the span but outside
+    # the mask gets weight 0, and dropping a level of weight 0 from an
+    # allowed set keeps it allowed, so the maximum is unchanged.
+    low = mask & -mask
+    lo = low.bit_length() - 1
+    span = w[lo : mask.bit_length()]
+    if mask & (mask + low):
+        span = [x if mask >> h & 1 else 0 for h, x in enumerate(span, lo)]
+    return _gap_sums(span, k)[-1]
+
+
+def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
+    # first[x][b] for KatonaGap(k): the levels compatible with b below it
+    # are [0, b - k], so _gap_sums over C(b, b - k), ..., C(b, 0), read
+    # backwards, gives the best allowed subset of [x, b - k] for every x and
+    # then zeros, at most b + 1 values.
+    n = len(rows) - 1
+    columns = []
+    for b, w in enumerate(rows):
+        g = _gap_sums(w[b - k :: -1] if b >= k else (), k)
+        g.reverse()
+        columns.append(g + [0] * (n + 1 - len(g)))
+    return list(zip(*columns))
 
 
 def _bit_levels(mask: int) -> list[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -104,15 +105,17 @@ def parse_condition(text: str) -> Condition:
         if key == "file":
             return load_custom_condition(value)
         return kind(_parse_ratio(value) if key == "lambda" else _parse_int(value))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad condition '{text}': {exc}") from exc
 
 
 def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"expected an integer, got '{text}'") from None
+    """The command line's one integer syntax: ASCII digits, optionally after
+    a minus sign.  int() would also take a plus sign, surrounding spaces,
+    underscores and non-ASCII digits."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'")
+    return int(text)
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -130,8 +133,8 @@ def _parse_ratio(text: str) -> Fraction:
 def _positive_int(text: str) -> int:
     """argparse type for counts; rejects anything but an integer >= 1."""
     try:
-        value = int(text)
-    except ValueError:
+        value = _parse_int(text)
+    except argparse.ArgumentTypeError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got '{text}'")
@@ -212,8 +215,8 @@ def _levels_list(levels: Sequence[int]) -> list[int]:
 
 def _parse_levels(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(_parse_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise UsageError(
             f"levels must be comma-separated integers with no empty items, got '{text}'"
         ) from None
@@ -453,15 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     bound = sub.add_parser("bound", help="largest weight of an allowed level set")
-    bound.add_argument("--n", type=int, required=True)
+    bound.add_argument("--n", type=_parse_int, required=True)
     bound.add_argument("--condition", required=True)
     _add_common_flags(bound, suppress=True)
     bound.set_defaults(func=cmd_bound)
 
     chains = sub.add_parser("chains", help="count or maximize ell-chains over level sets")
-    chains.add_argument("--n", type=int, required=True)
+    chains.add_argument("--n", type=_parse_int, required=True)
     chains.add_argument("--condition", required=True)
-    chains.add_argument("--ell", type=int, required=True)
+    chains.add_argument("--ell", type=_parse_int, required=True)
     chains.add_argument("--levels", help="comma-separated levels; omit to optimize")
     chains.add_argument(
         "--budget",
@@ -473,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     chains.set_defaults(func=cmd_chains)
 
     verify = sub.add_parser("verify", help="certify bounds against brute force")
-    verify.add_argument("--n", type=int, required=True)
+    verify.add_argument("--n", type=_parse_int, required=True)
     verify.add_argument("--condition", required=True)
-    verify.add_argument("--ell", type=int)
+    verify.add_argument("--ell", type=_parse_int)
     verify.add_argument("--family", help="ad-hoc family as a hex indicator string")
     verify.add_argument(
         "--accept-exponential",

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .binom import binomial, binomial_row
 from .conditions import (
@@ -30,10 +29,6 @@ from .conditions import (
 
 METHOD_DP = "dp"
 METHOD_BRANCH_AND_BOUND = "branch-and-bound"
-
-# first[x][b] of the chain bound's first layer; see _relaxation.
-SuffixTable = list[Sequence[int]]
-
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -256,7 +251,7 @@ def _best_ratio_levels(n: int, ratio: Fraction) -> BoundResult:
     return BoundResult(value, tuple(range(k, top + 1)), METHOD_DP)
 
 
-def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) -> int:
+def _clique_cover_bound(conflicts: Sequence[int], w: list[int], avail: int) -> int:
     # Partition the available levels into cliques of pairwise-conflicting
     # levels; an allowed set takes at most one level from each clique.
     bound = 0
@@ -274,59 +269,6 @@ def _clique_cover_bound(avail: int, conflicts: tuple[int, ...], w: list[int]) ->
             pool &= conflicts[u] & ~(1 << u)
         bound += clique_best
     return bound
-
-
-def _relaxation(
-    cond: Condition, conflicts: tuple[int, ...]
-) -> tuple[Callable[[list[int], int], int], Callable[[list[list[int]]], SuffixTable | None]]:
-    """(relax, tables) for the chain search's bound, which serves KatonaGap and
-    custom tables; any other condition raises TypeError.
-
-    relax(w, mask) is the largest sum of w over allowed subsets of the levels
-    in mask: exact for KatonaGap and nonnegative w; a custom table gets the
-    clique cover, which is at least that maximum.  tables(rows) builds the
-    bound's state-free first layer from the binomial rows: first[x][b] =
-    relax(rows[b], levels of [x, b) compatible with b) for every x and b, or
-    None for a custom table, whose search needs the relax of every node's
-    own mask.  The condition type is resolved here, once, so the returned
-    functions do no dispatch.
-    """
-    if isinstance(cond, CustomPairwise):
-        return (lambda w, mask: _clique_cover_bound(mask, conflicts, w)), lambda rows: None
-    if isinstance(cond, KatonaGap):
-        return _gap_relaxation(cond.k), partial(_gap_suffix_tables, cond.k)
-    raise TypeError(f"no chain search relaxation for {cond!r}")
-
-
-def _gap_relaxation(k: int) -> Callable[[list[int], int], int]:
-    # The conflict graph of KatonaGap(k) is a unit interval graph, so the
-    # best allowed set is the last of the _gap_sums over the levels lo..hi
-    # spanned by the mask.  The chain bound's masks are one run of levels,
-    # so the pass reads w[lo:hi + 1]; a level inside the span but outside
-    # the mask gets weight 0, and dropping a level of weight 0 from an
-    # allowed set keeps it allowed, so the maximum is unchanged.
-    def relax(w: list[int], mask: int) -> int:
-        low = mask & -mask
-        lo = low.bit_length() - 1
-        span = w[lo : mask.bit_length()]
-        if mask & (mask + low):
-            span = [x if mask >> h & 1 else 0 for h, x in enumerate(span, lo)]
-        return _gap_sums(span, k)[-1]
-
-    return relax
-
-
-def _gap_suffix_tables(k: int, rows: list[list[int]]) -> SuffixTable:
-    # The levels compatible with b below it are [0, b - k], so _gap_sums
-    # over C(b, b - k), ..., C(b, 0), read backwards, gives the best allowed
-    # subset of [x, b - k] for every x and then zeros, at most b + 1 values.
-    n = len(rows) - 1
-    columns = []
-    for b, w in enumerate(rows):
-        g = _gap_sums(w[b - k :: -1] if b >= k else (), k)
-        g.reverse()
-        columns.append(g + [0] * (n + 1 - len(g)))
-    return list(zip(*columns))
 
 
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
@@ -352,7 +294,7 @@ def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     stack = [((1 << (n + 1)) - 1, 0)]
     while stack:
         avail, total = stack.pop()
-        if total + _clique_cover_bound(avail, masks, w) <= top:
+        if total + _clique_cover_bound(masks, w, avail) <= top:
             continue
         if avail == 0:
             top = total

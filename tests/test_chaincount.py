@@ -4,9 +4,12 @@ import random
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import mul
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +33,14 @@ from chainweight import (
     window_chain_count,
 )
 from chainweight import chaincount
-from chainweight.chaincount import _bit_levels, _chain_bound, _include
-from chainweight.levelbounds import _relaxation, size_bound
+from chainweight.chaincount import (
+    _bit_levels,
+    _chain_bound,
+    _gap_first_layer,
+    _gap_relax,
+    _include,
+)
+from chainweight.levelbounds import _clique_cover_bound, size_bound
 
 
 def chains_by_enumeration(n, levels, ell):
@@ -96,6 +105,17 @@ def reference_optimal_levels_for_chains(n, cond, ell):
     return tuple(best)
 
 
+def no_search(*args):
+    raise AssertionError("level search ran")
+
+
+def search_relaxation(cond, conflicts, rows):
+    # (relax, first) of the chain search for KatonaGap and custom tables.
+    if isinstance(cond, KatonaGap):
+        return partial(_gap_relax, cond.k), _gap_first_layer(cond.k, rows)
+    return partial(_clique_cover_bound, conflicts), None
+
+
 def reference_recursive_levels_for_chains(n, cond, ell):
     # The search as a recursive closure, before it ran on an explicit stack,
     # with its node count, for KatonaGap and custom tables at ell >= 2.
@@ -103,9 +123,8 @@ def reference_recursive_levels_for_chains(n, cond, ell):
     conflicts = level_conflicts(cond, n)
     if ell > n + 1:
         return 0, (), 0
-    relax, tables = _relaxation(cond, conflicts)
     rows = [binomial_row(h) for h in range(n + 1)]
-    first = tables(rows)
+    relax, first = search_relaxation(cond, conflicts, rows)
     best_count = 0
     best_witness = ()
     nodes = 0
@@ -238,6 +257,11 @@ def test_count_rejects_bad_input():
         count_chains_levels(6, (-1, 3), 2)
     with pytest.raises(ValueError):
         count_chains_levels(6, (3, 3), 2)
+    # n < 0 is refused as at every other entry point, even with no level
+    # to check against n.
+    for levels in ((), (0,)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count_chains_levels(-3, levels, 2)
 
 
 def test_optimal_levels_examples():
@@ -342,9 +366,6 @@ def test_gap_chain_search_runs_under_a_shallow_recursion_limit():
 def test_optimal_levels_are_empty_past_n_plus_one(monkeypatch):
     # A chain of distinct subsets of [n] has at most n + 1 members, so the
     # search answers (0, ()) before it starts; the reference search agrees.
-    def no_search(*args):
-        raise AssertionError("level search ran")
-
     monkeypatch.setattr(chaincount, "_chain_bound", no_search)
     for n in range(7):
         table = CustomPairwise(n, frozenset((a, a + 2) for a in range(n - 1)))
@@ -387,20 +408,24 @@ def test_relaxation_is_the_best_allowed_weight(data, n):
         lo = data.draw(st.integers(0, n + 1))
         mask = (1 << data.draw(st.integers(lo, n + 1))) - (1 << lo)
     best = max(sum(w[h] for h in levels) for levels in allowed_subsets(mask, conflicts))
-    value = _relaxation(cond, conflicts)[0](w, mask)
     if isinstance(cond, CustomPairwise):
-        assert value >= best
+        assert _clique_cover_bound(conflicts, w, mask) >= best
     else:
-        assert value == best
+        assert _gap_relax(cond.k, w, mask) == best
 
 
-def test_relaxation_rejects_non_conditions():
+@dataclass(frozen=True)
+class NotACondition:
+    # Compiles to conflict masks like a named condition, but is none of the
+    # condition types, so the chain optimum has no way to compute it.
+    def forbids(self, a, b):
+        return b - a == 2
+
+
+def test_chain_optimum_rejects_non_conditions():
+    assert level_conflicts(NotACondition(), 4)
     with pytest.raises(TypeError):
-        _relaxation("antichain", level_conflicts(Antichain(), 3))
-    # The window conditions' chain optima take no search, so no relaxation.
-    for cond in (Antichain(), ErdosWindow(2), RatioLambda(Fraction(3, 2)), IntegerRatio(2)):
-        with pytest.raises(TypeError):
-            _relaxation(cond, level_conflicts(cond, 3))
+        optimal_levels_for_chains(4, NotACondition(), 2)
 
 
 def search_state(data, n, ell, conflicts, cut):
@@ -430,17 +455,15 @@ def test_chain_bound_is_admissible(data, n, ell):
     # superset of each level's mask.
     cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
-    relax, tables = _relaxation(cond, conflicts)
     cut = data.draw(st.integers(0, n + 1))
     rows, chosen, compatible, sums, total = search_state(data, n, ell, conflicts, cut)
+    relax, first = search_relaxation(cond, conflicts, rows)
     if data.draw(st.booleans()):
         dropped = data.draw(st.integers(0, (1 << (n + 1)) - 1)) if data.draw(st.booleans()) else 0
         avail = compatible & ~dropped & ~((1 << cut) - 1)
     else:
         avail = data.draw(st.integers(0, (1 << (n + 1)) - 1)) & ~((1 << cut) - 1)
 
-    first = tables(rows)
-    assert (first is None) == isinstance(cond, CustomPairwise)
     assert total == count_chains_levels(n, chosen, ell)
     assert _chain_bound(rows, conflicts, relax, first, sums, total, 0) == total
     best = max(
@@ -459,12 +482,13 @@ def test_chain_bound_matches_reference_on_runs(data, n, ell):
     # equals the per-node relax, so bounds and node counts are unchanged.
     cond = data.draw(st.sampled_from([c for c in NAMED_CONDITIONS if isinstance(c, KatonaGap)]))
     conflicts = level_conflicts(cond, n)
-    relax, tables = _relaxation(cond, conflicts)
+    relax = partial(_gap_relax, cond.k)
     lo = data.draw(st.integers(0, n + 1))
     hi = data.draw(st.integers(lo, n + 1))
     avail = (1 << hi) - (1 << lo)
     rows, _, _, sums, total = search_state(data, n, ell, conflicts, lo)
-    assert _chain_bound(rows, conflicts, relax, tables(rows), sums, total, avail) == (
+    first = _gap_first_layer(cond.k, rows)
+    assert _chain_bound(rows, conflicts, relax, first, sums, total, avail) == (
         reference_chain_bound(rows, conflicts, relax, sums, total, avail)
     )
 
@@ -474,17 +498,18 @@ def test_chain_bound_matches_reference_on_runs(data, n, ell):
 def test_suffix_tables_are_the_best_allowed_weights(data, n):
     # first[x][b] is the largest weight rows[b][a] of an allowed subset of the
     # levels of [x, b) that do not conflict with b, for random nonnegative
-    # rows; a custom table builds none.
+    # rows; a custom table's search builds none.
     cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
+    if isinstance(cond, CustomPairwise):
+        with patch.object(chaincount, "_gap_first_layer", no_search):
+            optimal_levels_for_chains(n, cond, 2)
+        return
     rows = [
         data.draw(st.lists(st.integers(0, 10**6), min_size=n + 1, max_size=n + 1))
         for _ in range(n + 1)
     ]
-    first = _relaxation(cond, conflicts)[1](rows)
-    if isinstance(cond, CustomPairwise):
-        assert first is None
-        return
+    first = _gap_first_layer(cond.k, rows)
     assert len(first) == n + 1
     for x in range(n + 1):
         assert len(first[x]) == n + 1
@@ -524,11 +549,8 @@ def seeded_custom_tables():
 
 
 def forbid_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("level search ran")
-
-    monkeypatch.setattr(chaincount, "_chain_bound", no_search)
-    monkeypatch.setattr(chaincount, "_relaxation", no_search)
+    for name in ("_chain_bound", "_gap_first_layer", "_include"):
+        monkeypatch.setattr(chaincount, name, no_search)
 
 
 @pytest.mark.parametrize("cond", (*NAMED_CONDITIONS, *seeded_custom_tables()), ids=repr)
@@ -555,7 +577,8 @@ def test_single_chains_match_size_bound(cond, monkeypatch):
 def test_windows_and_single_chains_run_no_search(monkeypatch):
     # Antichain, ErdosWindow and the ratio conditions at ell >= 2, and every
     # condition type at ell = 1, are answered without the level search: its
-    # bound and relaxation raise here, and a node budget of 0 is not spent.
+    # bound, first-layer table and include raise here, and a node budget of 0
+    # is not spent.
     forbid_search(monkeypatch)
     for cond in (c for c in NAMED_CONDITIONS if not isinstance(c, KatonaGap)):
         for n in (*range(41), 60, 100, 120):

@@ -201,6 +201,56 @@ def test_verify_family_rejects_malformed_hex(text):
     assert "hex digits" in result.stderr
 
 
+CHAINS = ("chains", "--n", "6", "--condition", "katona:k=3", "--ell", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, threads_env",
+    [
+        (("bound", "--n", "1_0", "--condition", "antichain"), None),
+        (("bound", "--n", " 6", "--condition", "antichain"), None),
+        (("bound", "--n", "6", "--condition", "katona:k=+3"), None),
+        (("bound", "--n", "6", "--condition", "katona:k=\u0663"), None),
+        (("bound", "--n", "6", "--condition", "ratio:lambda=+3/2"), None),
+        (("bound", "--n", "6", "--condition", "intratio:c=2_0"), None),
+        (("chains", "--n", "6", "--condition", "katona:k=3", "--ell", "+2"), None),
+        ((*CHAINS, "--budget", "1_000"), None),
+        ((*CHAINS, "--levels", " 0, 3"), None),
+        ((*CHAINS, "--levels", "0,+3"), None),
+        (("verify", "--n", "4", "--condition", "antichain", "--ell", "\u0662"), None),
+        (("--threads", " 2", "bound", "--n", "6", "--condition", "antichain"), None),
+        (("bound", "--n", "6", "--condition", "antichain"), " 2"),
+        (("bound", "--n", "6", "--condition", "antichain"), "+2"),
+    ],
+    ids=[
+        "n-underscore", "n-space", "k-plus", "k-arabic-indic", "lambda-plus", "c-underscore",
+        "ell-plus", "budget-underscore", "levels-spaces", "levels-plus", "verify-ell-arabic-indic",
+        "threads-space", "threads-env-space", "threads-env-plus",
+    ],
+)
+def test_integers_are_ascii_digits_only(argv, threads_env, capsys, monkeypatch):
+    # int() takes signs, spaces, underscores and non-ASCII digits; the CLI
+    # takes -?[0-9]+ only, for every integer it reads.
+    if threads_env is not None:
+        monkeypatch.setenv("CHAINWEIGHT_THREADS", threads_env)
+    assert main(list(argv)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "integer" in out.err
+
+
+def test_integers_accept_ascii_digits(capsys, monkeypatch):
+    monkeypatch.setenv("CHAINWEIGHT_THREADS", "02")
+    assert main(["--format", "json", *CHAINS[:-1], "02", "--levels", "1,04", "--budget", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == {
+        "condition": "katona:k=3", "ell": 2, "levels": [1, 4], "n": 6, "threads": 2,
+    }
+    assert report["outputs"]["value"] == "60"
+    assert main(["bound", "--n", "-1", "--condition", "antichain"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_verify_cap_requires_flag():
     result = run_cli("verify", "--n", "9", "--condition", "antichain")
     assert result.returncode == 1

@@ -86,7 +86,7 @@ def reference_branch_and_bound(n, cond):
 
     def dfs(avail, weight, chosen):
         nonlocal best_value, best_witness
-        if weight + _clique_cover_bound(avail, conflicts, w) <= best_value:
+        if weight + _clique_cover_bound(conflicts, w, avail) <= best_value:
             return
         if avail == 0:
             best_value = weight
@@ -125,7 +125,7 @@ def reference_two_phase_branch_and_bound(n, cond):
 
         def dfs(avail, weight):
             nonlocal top
-            if weight + _clique_cover_bound(avail, masks, w) <= top:
+            if weight + _clique_cover_bound(masks, w, avail) <= top:
                 return
             if avail == 0:
                 top = weight
