@@ -91,10 +91,14 @@ def optimal_levels_for_chains(
     levels (see _best_window).  KatonaGap and custom tables at ell >= 2 are
     searched depth first on an explicit stack, ascending with the include
     branch first, so no input reaches the recursion limit; each node carries
-    the chain counts of its chosen levels (see _include) and dies when
-    _chain_bound cannot beat the incumbent.  node_budget counts the nodes of
-    that search, the only one with any; past it SearchBudgetExceeded is raised.
-    Any other condition type raises TypeError at ell <= n + 1.
+    the chain counts of its chosen levels (see _include).  The root's
+    _chain_bound is the target: 0 answers at once, and the search stops at
+    the first leaf whose count meets it.  The first dive, from the root to
+    the first leaf, takes no bound; after it a node dies when _chain_bound
+    cannot beat the incumbent.  node_budget counts the nodes of that search
+    as they are popped, the root as node 1, and it is the only search with
+    any; past it SearchBudgetExceeded is raised.  Any other condition type
+    raises TypeError.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -104,27 +108,36 @@ def optimal_levels_for_chains(
         bound = size_bound(n, cond)
         return ChainCountResult(bound.value, bound.witness, ell)
     conflicts = level_conflicts(cond, n)
+    if isinstance(cond, KatonaGap):
+        relax = partial(_gap_relax, cond.k)
+        layer = partial(_gap_first_layer, cond.k)
+    elif isinstance(cond, CustomPairwise):
+        relax = partial(_clique_cover_bound, conflicts)
+        layer = None
+    elif isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
+        relax = layer = None
+    else:
+        raise TypeError(f"not a condition: {cond!r}")
     if ell > n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
     rows = [binomial_row(h) for h in range(n + 1)]
-    if isinstance(cond, KatonaGap):
-        relax = partial(_gap_relax, cond.k)
-        first = _gap_first_layer(cond.k, rows)
-    elif isinstance(cond, CustomPairwise):
-        relax = partial(_clique_cover_bound, conflicts)
-        first = None
-    elif isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
+    if relax is None:
         return _best_window(rows, conflicts, ell)
-    else:
-        raise TypeError(f"not a condition: {cond!r}")
+    first = layer(rows) if layer else None
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
-    # Include-first ascending branching makes the first positive maximizer
-    # found the lexicographically smallest one; zero-count ties are settled
-    # by initializing the incumbent with the empty set.  A leaf's bound is its
-    # count, so a leaf that survives the bound test beats the incumbent.
+    target = 0
+    dive = True
+    # Include-first ascending branching reaches the leaves in lexicographic
+    # order and the incumbent changes only on a strictly larger count, so
+    # the first positive maximizer found is the lexicographically smallest
+    # one; zero-count ties are settled by initializing the incumbent with
+    # the empty set.  The root's bound is the target: no count exceeds it,
+    # so a leaf that meets it ends the search, and a target of 0 ends it at
+    # the root.  The nodes of the first dive, before the first leaf, take no
+    # bound: with the incumbent at 0 it could prune only nodes bounded by 0.
     # A node is (avail, sums, total, chosen levels); the exclude child is
     # pushed below the include child, so nodes pop in depth-first order.
     stack = [((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, ())]
@@ -135,12 +148,20 @@ def optimal_levels_for_chains(
             raise SearchBudgetExceeded(
                 f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
             )
-        if _chain_bound(rows, conflicts, relax, first, sums, total, avail) <= best_count:
-            continue
         if avail == 0:
-            best_count = total
-            best_witness = chosen
+            dive = False
+            if total > best_count:
+                best_count = total
+                best_witness = chosen
+                if total == target:
+                    break
             continue
+        if nodes == 1 or not dive:
+            bound = _chain_bound(rows, conflicts, relax, first, sums, total, avail)
+            if nodes == 1:
+                target = bound
+            if bound <= best_count:
+                continue
         h = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << h)
         stack.append((rest, sums, total, chosen))

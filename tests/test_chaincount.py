@@ -116,10 +116,13 @@ def search_relaxation(cond, conflicts, rows):
     return partial(_clique_cover_bound, conflicts), None
 
 
-def reference_recursive_levels_for_chains(n, cond, ell):
+def reference_recursive_levels_for_chains(n, cond, ell, stop=True):
     # The search as a recursive closure, before it ran on an explicit stack,
     # with its node count, for KatonaGap and custom tables at ell >= 2.
-    # Returns (count, levels, nodes).
+    # With stop, the root's bound is the target, the first leaf that meets it
+    # ends the search and the first dive takes no bound.  Without stop it is
+    # the search before that rule: every node is bounded, and the search runs
+    # until no node is left.  Returns (count, levels, nodes).
     conflicts = level_conflicts(cond, n)
     if ell > n + 1:
         return 0, (), 0
@@ -128,16 +131,26 @@ def reference_recursive_levels_for_chains(n, cond, ell):
     best_count = 0
     best_witness = ()
     nodes = 0
+    target = None
+    dive = stop
 
     def dfs(avail, sums, total, chosen):
-        nonlocal best_count, best_witness, nodes
+        nonlocal best_count, best_witness, nodes, target, dive
+        if best_count == target:
+            return
         nodes += 1
-        if _chain_bound(rows, conflicts, relax, first, sums, total, avail) <= best_count:
-            return
         if avail == 0:
-            best_count = total
-            best_witness = tuple(chosen)
+            dive = False
+            if total > best_count:
+                best_count = total
+                best_witness = tuple(chosen)
             return
+        if nodes == 1 or not dive:
+            bound = _chain_bound(rows, conflicts, relax, first, sums, total, avail)
+            if nodes == 1 and stop:
+                target = bound
+            if bound <= best_count:
+                return
         h = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << h)
         chosen.append(h)
@@ -345,6 +358,18 @@ def test_optimal_levels_match_recursive_search_node_for_node(data, n, ell):
             optimal_levels_for_chains(n, cond, ell, node_budget=nodes - 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(2, 4))
+def test_stopped_search_answers_like_the_unstopped_search(data, n, ell):
+    # Stopping at the root bound and skipping the bound on the first dive
+    # change the nodes a search visits, never its answer or witness.
+    cond = data.draw(conditions_on(n, SEARCHED_KINDS))
+    count, levels, _ = reference_recursive_levels_for_chains(n, cond, ell, stop=False)
+    assert reference_recursive_levels_for_chains(n, cond, ell)[:2] == (count, levels)
+    result = optimal_levels_for_chains(n, cond, ell)
+    assert (result.count, result.levels) == (count, levels)
+
+
 def test_single_chain_search_runs_under_a_shallow_recursion_limit():
     # At ell = 1 the answer is size_bound's, whose Antichain optimizer scans
     # the row; a search that recursed once per level would fail at n = 400.
@@ -365,8 +390,10 @@ def test_gap_chain_search_runs_under_a_shallow_recursion_limit():
 
 def test_optimal_levels_are_empty_past_n_plus_one(monkeypatch):
     # A chain of distinct subsets of [n] has at most n + 1 members, so the
-    # search answers (0, ()) before it starts; the reference search agrees.
+    # search answers (0, ()) before it starts, with no binomial row built;
+    # the reference search agrees.
     monkeypatch.setattr(chaincount, "_chain_bound", no_search)
+    monkeypatch.setattr(chaincount, "binomial_row", no_search)
     for n in range(7):
         table = CustomPairwise(n, frozenset((a, a + 2) for a in range(n - 1)))
         for cond in (Antichain(), ErdosWindow(1), KatonaGap(2), RatioLambda(Fraction(3, 2)),
@@ -423,9 +450,11 @@ class NotACondition:
 
 
 def test_chain_optimum_rejects_non_conditions():
+    # At every ell, past n + 1 too, where every condition's answer is (0, ()).
     assert level_conflicts(NotACondition(), 4)
-    with pytest.raises(TypeError):
-        optimal_levels_for_chains(4, NotACondition(), 2)
+    for ell in (1, 2, 5, 6, 100):
+        with pytest.raises(TypeError):
+            optimal_levels_for_chains(4, NotACondition(), ell)
 
 
 def search_state(data, n, ell, conflicts, cut):
@@ -626,17 +655,16 @@ def test_node_budget_bounds_the_large_katona_search():
     # raises, and one above it returns the known witness.  n=100 under a
     # budget of 1000 guards the strength of the bound: with the clique cover
     # it took 4,767 nodes at n=40 already.  The exact node counts are pinned:
-    # 29 at n=40, ell=2 and 69 at n=100, ell=3.
+    # 15 at n=40, ell=2 and 35 at n=100, ell=3, one dive from the root to
+    # the witness's leaf.
     with pytest.raises(SearchBudgetExceeded):
-        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=20)
-    with pytest.raises(SearchBudgetExceeded):
-        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=28)
-    assert optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=29).levels == tuple(
+        optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=14)
+    assert optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=15).levels == tuple(
         range(0, 41, 3)
     )
     with pytest.raises(SearchBudgetExceeded):
-        optimal_levels_for_chains(100, KatonaGap(3), 3, node_budget=68)
-    result = optimal_levels_for_chains(100, KatonaGap(3), 3, node_budget=69)
+        optimal_levels_for_chains(100, KatonaGap(3), 3, node_budget=34)
+    result = optimal_levels_for_chains(100, KatonaGap(3), 3, node_budget=35)
     assert result.count == count_chains_levels(100, result.levels, 3)
     result = optimal_levels_for_chains(40, KatonaGap(3), 2, node_budget=1000)
     assert result.levels == tuple(range(0, 41, 3))
@@ -644,6 +672,17 @@ def test_node_budget_bounds_the_large_katona_search():
     result = optimal_levels_for_chains(100, KatonaGap(3), 2, node_budget=1000)
     assert result.levels == tuple(range(0, 101, 3))
     assert result.count == count_chains_levels(100, range(0, 101, 3), 2)
+
+
+def test_search_stops_at_the_root_bound():
+    # KatonaGap(3) at n=400, ell=3: the root bound is exact, so the search is
+    # the first dive, the root and one include per witness level, and stops
+    # at its leaf.
+    with pytest.raises(SearchBudgetExceeded):
+        optimal_levels_for_chains(400, KatonaGap(3), 3, node_budget=134)
+    result = optimal_levels_for_chains(400, KatonaGap(3), 3, node_budget=135)
+    assert result.levels == tuple(range(0, 401, 3))
+    assert result.count == count_chains_levels(400, result.levels, 3)
 
 
 def test_search_leaves_no_cyclic_garbage():
