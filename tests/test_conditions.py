@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +21,9 @@ from chainweight import (
     is_chain_dependent,
     level_conflicts,
     load_custom_condition,
+    max_family,
+    optimal_levels_for_chains,
+    size_bound,
 )
 
 RATIOS = [Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(5, 2)]
@@ -121,6 +126,14 @@ def test_allowed_levels_trivial_cases():
 def test_condition_parameter_validation():
     with pytest.raises(ValueError):
         ErdosWindow(0)
+    for kind in (ErdosWindow, KatonaGap, IntegerRatio):
+        for bad in (2.5, 1.5, True, Fraction(3), "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                kind(bad)
+    with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+        KatonaGap(0)
+    with pytest.raises(ValueError, match="c must be an integer >= 2, got 1"):
+        IntegerRatio(1)
     with pytest.raises(ValueError):
         KatonaGap(-1)
     with pytest.raises(ValueError):
@@ -297,15 +310,30 @@ def test_custom_condition_is_chain_dependent():
 
 
 def test_named_conflicts_are_cached_apart_from_custom_tables():
-    # A named condition's compile stays cached while many custom tables pass
-    # through their own small cache, and cache_info counts both.
+    # A named condition's compile stays cached; custom tables are compiled on
+    # every call and never touch the cache.
     named = level_conflicts(KatonaGap(7), 31)
+    before = level_conflicts.cache_info()
     for n in range(1, 21):
-        level_conflicts(CustomPairwise(n, frozenset({(0, 1)})), n)
-    after = level_conflicts.cache_info()
+        table = CustomPairwise(n, frozenset({(0, 1)}))
+        first = level_conflicts(table, n)
+        assert level_conflicts(table, n) == first
+    assert level_conflicts.cache_info() == before
     assert level_conflicts(KatonaGap(7), 31) is named
-    assert level_conflicts.cache_info().misses == after.misses
-    assert after.currsize <= after.maxsize == 256 + 8
+    assert before.currsize <= before.maxsize == 256
+
+
+def test_custom_tables_are_freed_after_use():
+    table = CustomPairwise(5, frozenset({(0, 2), (1, 3), (2, 5), (0, 5)}))
+    ref = weakref.ref(table)
+    level_conflicts(table, 5)
+    level_conflicts(table, 3)
+    size_bound(5, table)
+    optimal_levels_for_chains(5, table, 2)
+    max_family(5, table)
+    del table
+    gc.collect()
+    assert ref() is None
 
 
 def test_level_conflicts_cache_clear_empties_both_caches():
