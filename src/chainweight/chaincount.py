@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from operator import add, mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # binomial is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
@@ -91,14 +91,16 @@ def optimal_levels_for_chains(
     levels (see _best_window).  KatonaGap and custom tables at ell >= 2 are
     searched depth first on an explicit stack, ascending with the include
     branch first, so no input reaches the recursion limit; each node carries
-    the chain counts of its chosen levels (see _include).  The root's
-    _chain_bound is the target: 0 answers at once, and the search stops at
-    the first leaf whose count meets it.  The first dive, from the root to
-    the first leaf, takes no bound; after it a node dies when _chain_bound
-    cannot beat the incumbent.  node_budget counts the nodes of that search
-    as they are popped, the root as node 1, and it is the only search with
-    any; past it SearchBudgetExceeded is raised.  Any other condition type
-    raises TypeError.
+    the chain counts of its chosen levels (see _include) and the bound of
+    its nearest bounded ancestor: _gap_bound for KatonaGap, _chain_bound
+    for a custom table.  The root's bound is the target: 0 answers at once,
+    and the search stops at the first leaf whose count meets it.  The first
+    dive, to the first leaf, takes no bound; after it a node dies when the
+    inherited bound, and else its own, cannot beat the incumbent.
+    node_budget counts the nodes of that search as they are popped, the
+    root as node 1, and it is the only search with any; past it
+    SearchBudgetExceeded is raised.  Any other condition type raises
+    TypeError.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -108,46 +110,43 @@ def optimal_levels_for_chains(
         bound = size_bound(n, cond)
         return ChainCountResult(bound.value, bound.witness, ell)
     conflicts = level_conflicts(cond, n)
-    if isinstance(cond, KatonaGap):
-        relax = partial(_gap_relax, cond.k)
-        layer = partial(_gap_first_layer, cond.k)
-    elif isinstance(cond, CustomPairwise):
-        relax = partial(_clique_cover_bound, conflicts)
-        layer = None
-    elif isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio)):
-        relax = layer = None
-    else:
+    window = isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio))
+    if not (window or isinstance(cond, (KatonaGap, CustomPairwise))):
         raise TypeError(f"not a condition: {cond!r}")
     if ell > n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
     rows = [binomial_row(h) for h in range(n + 1)]
-    if relax is None:
+    if window:
         return _best_window(rows, conflicts, ell)
-    first = layer(rows) if layer else None
+    if isinstance(cond, KatonaGap):
+        node_bound = partial(_gap_bound, cond.k, rows, _gap_first_layer(cond.k, rows))
+    else:
+        node_bound = partial(_chain_bound, rows, conflicts)
     best_count = 0
     best_witness: tuple[int, ...] = ()
     nodes = 0
-    target = 0
     dive = True
     # Include-first ascending branching reaches the leaves in lexicographic
     # order and the incumbent changes only on a strictly larger count, so
     # the first positive maximizer found is the lexicographically smallest
     # one; zero-count ties are settled by initializing the incumbent with
-    # the empty set.  The root's bound is the target: no count exceeds it,
-    # so a leaf that meets it ends the search, and a target of 0 ends it at
-    # the root.  The nodes of the first dive, before the first leaf, take no
-    # bound: with the incumbent at 0 it could prune only nodes bounded by 0.
-    # A node is (avail, sums, total, chosen levels); the exclude child is
-    # pushed below the include child, so nodes pop in depth-first order.
-    stack = [((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, ())]
+    # the empty set.  No count exceeds the target, the root's bound.  The
+    # first dive takes no bound: with the incumbent at 0 it could prune only
+    # nodes bounded by 0.  A node is (avail, sums, total, chosen, bound).
+    avail = (1 << (n + 1)) - 1
+    sums = [[0] * (n + 1) for _ in range(ell - 1)]
+    target = node_bound(sums, 0, avail)
+    stack = [(avail, sums, 0, (), target)]
     while stack:
-        avail, sums, total, chosen = stack.pop()
+        avail, sums, total, chosen, bound = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
                 f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
             )
+        if bound <= best_count:
+            continue
         if avail == 0:
             dive = False
             if total > best_count:
@@ -156,16 +155,14 @@ def optimal_levels_for_chains(
                 if total == target:
                     break
             continue
-        if nodes == 1 or not dive:
-            bound = _chain_bound(rows, conflicts, relax, first, sums, total, avail)
-            if nodes == 1:
-                target = bound
+        if not dive:
+            bound = node_bound(sums, total, avail)
             if bound <= best_count:
                 continue
         h = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << h)
-        stack.append((rest, sums, total, chosen))
-        stack.append((rest & ~conflicts[h], *_include(rows, sums, total, h), (*chosen, h)))
+        stack.append((rest, sums, total, chosen, bound))
+        stack.append((rest & ~conflicts[h], *_include(rows, sums, total, h), (*chosen, h), bound))
     return ChainCountResult(best_count, best_witness, ell)
 
 
@@ -221,8 +218,6 @@ def _include(
 def _chain_bound(
     rows: list[list[int]],
     conflicts: tuple[int, ...],
-    relax: Callable[[list[int], int], int],
-    first: list[Sequence[int]] | None,
     sums: list[list[int]],
     total: int,
     avail: int,
@@ -234,59 +229,70 @@ def _chain_bound(
     with all of them: U_1(b) = 1, U_j(b) = sums[j-2][b] + relax(weights
     C(b, a) * U_{j-1}(a), levels of avail below b that do not conflict with
     b), and the bound is total + relax(weights C(n, b) * U_ell(b), avail).
-    relax(w, mask) is at least the largest sum of nonnegative weights w over
-    the pairwise compatible subsets of mask: exactly that for KatonaGap
-    (_gap_relax), a clique cover for a custom table (_clique_cover_bound).
-    first, which _gap_first_layer builds for KatonaGap, replaces the relax
-    of U_2: with lo the lowest level of avail, first[lo][b] relaxes the
-    weights C(b, a) over the levels of [lo, b) that do not conflict with b.
-    For a custom table first is None and U_2 is relaxed at the node.
+    relax(w, mask), at least the largest weight of a pairwise compatible
+    subset of mask, is the clique cover here, exact in _gap_bound.
 
     Admissible: S is allowed, so the levels of S below b lie in b's relax
     mask and are pairwise compatible.  By induction on j, u_j(b) in
     chosen | S is sums[j-2][b] plus the sum over those levels a of
     C(b, a) * u_{j-1}(a) <= C(b, a) * U_{j-1}(a), hence at most U_j(b); the
     same argument over all of S with weights C(n, b) * U_ell(b) bounds the
-    chains that end in S, and total counts those that end in chosen.  The
-    table's mask for b holds b's relax mask, since avail lies in [lo, n];
-    the largest allowed weight of a superset is no smaller, so U_2 stays an
-    upper bound.  The KatonaGap searches keep avail one run of
-    levels from lo (including lo removes a run above it, excluding lo
-    removes lo), and there the two masks are equal.
+    chains that end in S, and total counts those that end in chosen.
     """
-    if not avail:
-        return total
     n = len(rows) - 1
-    ubar = None  # U_1 = 1 everywhere
-    if first is not None:
-        ubar = list(map(add, sums[0], first[(avail & -avail).bit_length() - 1]))
-        sums = sums[1:]
-    levels = _bit_levels(avail) if sums else ()
+    levels = [b for b in range(n + 1) if avail >> b & 1]
+    ubar = [1] * (n + 1)
     for s in sums:
         nxt = [0] * (n + 1)
         for b in levels:
             below = avail & ((1 << b) - 1) & ~conflicts[b]
-            nxt[b] = s[b]
-            if below:
-                w = rows[b] if ubar is None else list(map(mul, rows[b], ubar))
-                nxt[b] += relax(w, below)
+            nxt[b] = s[b] + _clique_cover_bound(conflicts, list(map(mul, rows[b], ubar)), below)
         ubar = nxt
-    return total + relax(list(map(mul, rows[n], ubar)), avail)
+    return total + _clique_cover_bound(conflicts, list(map(mul, rows[n], ubar)), avail)
 
 
-def _gap_relax(k: int, w: list[int], mask: int) -> int:
-    # The conflict graph of KatonaGap(k) is a unit interval graph, so the
-    # best allowed set is the last of the _gap_sums over the levels lo..hi
-    # spanned by the mask.  The chain bound's masks are one run of levels,
-    # so the pass reads w[lo:hi + 1]; a level inside the span but outside
-    # the mask gets weight 0, and dropping a level of weight 0 from an
-    # allowed set keeps it allowed, so the maximum is unchanged.
-    low = mask & -mask
-    lo = low.bit_length() - 1
-    span = w[lo : mask.bit_length()]
-    if mask & (mask + low):
-        span = [x if mask >> h & 1 else 0 for h, x in enumerate(span, lo)]
-    return _gap_sums(span, k)[-1]
+def _gap_bound(
+    k: int,
+    rows: list[list[int]],
+    first: list[Sequence[int]],
+    sums: list[list[int]],
+    total: int,
+    avail: int,
+) -> int:
+    """_chain_bound for KatonaGap(k) on the run [lo, n], lo the lowest level of avail != 0.
+
+    Its conflict graph is a unit interval graph, so relax is exact: the last
+    value of the gap recurrence f(i) = max(f(i - 1), w[i] + f(i - k)) over
+    [lo, b - k], the levels of [lo, n] below b that do not conflict with b.
+    U_2 comes from the table first; each later U_j(b) takes one such pass.
+    The KatonaGap searches keep avail that run (including lo removes a run
+    above it, excluding lo removes lo); a run holding avail stays admissible.
+
+    Never above the parent node's bound, so inheriting it prunes exactly
+    where a node's own bound would.  The exclude child's runs lie inside the
+    parent's.  The include child adds lo and keeps [lo + k, n]; the parent's
+    U_j(lo) is u_j(lo), no level of its run lying k below lo.  With the
+    child's U'_{j-1} <= U_{j-1} by induction, lo and any allowed set of the
+    child's pass for b make an allowed set of the parent's, at least as
+    heavy as the child's share C(b, lo) * u_{j-1}(lo) plus that set; the
+    last layer likewise, with total' = total + C(n, lo) * u_ell(lo).
+    """
+    n = len(rows) - 1
+    lo = (avail & -avail).bit_length() - 1
+    ubar = list(map(add, sums[0][lo:], first[lo][lo:]))
+    for s in sums[1:]:
+        nxt = s[lo : lo + k]
+        for b in range(lo + k, n + 1):
+            f = [0] * k
+            best = 0
+            for x in map(mul, rows[b][lo : b - k + 1], ubar):
+                take = x + f[-k]
+                if take > best:
+                    best = take
+                f.append(best)
+            nxt.append(s[b] + best)
+        ubar = nxt
+    return total + _gap_sums(list(map(mul, rows[n][lo:], ubar)), k)[-1]
 
 
 def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
@@ -301,14 +307,6 @@ def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
         g.reverse()
         columns.append(g + [0] * (n + 1 - len(g)))
     return list(zip(*columns))
-
-
-def _bit_levels(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def window_chain_count(n: int, k: int, ell: int, i: int) -> int:

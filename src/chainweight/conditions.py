@@ -70,6 +70,8 @@ class RatioLambda:
     ratio: Fraction
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.ratio) or isinstance(self.ratio, Fraction)):  # a float is inexact
+            raise ValueError(f"ratio must be an integer or a Fraction, got {self.ratio!r}")
         ratio = Fraction(self.ratio)
         if ratio <= 1:
             raise ValueError(f"ratio must exceed 1, got {ratio}")

@@ -34,13 +34,12 @@ from chainweight import (
 )
 from chainweight import chaincount
 from chainweight.chaincount import (
-    _bit_levels,
     _chain_bound,
+    _gap_bound,
     _gap_first_layer,
-    _gap_relax,
     _include,
 )
-from chainweight.levelbounds import _clique_cover_bound, size_bound
+from chainweight.levelbounds import _clique_cover_bound, _gap_sums, size_bound
 
 
 def chains_by_enumeration(n, levels, ell):
@@ -109,57 +108,86 @@ def no_search(*args):
     raise AssertionError("level search ran")
 
 
-def search_relaxation(cond, conflicts, rows):
-    # (relax, first) of the chain search for KatonaGap and custom tables.
+def reference_gap_relax(k, w, mask):
+    # The largest weight of an allowed subset of mask under KatonaGap(k), for
+    # any mask: the last of the _gap_sums over the levels up to the mask's
+    # highest, those outside it weighted 0.  Dropping a level of weight 0
+    # from an allowed set keeps it allowed, so the maximum is unchanged.
+    span = [w[h] if mask >> h & 1 else 0 for h in range(mask.bit_length())]
+    return _gap_sums(span, k)[-1]
+
+
+def search_relaxation(cond, conflicts):
+    # The relaxation of the chain bound for KatonaGap (exact) and custom
+    # tables (a clique cover), on any mask.
     if isinstance(cond, KatonaGap):
-        return partial(_gap_relax, cond.k), _gap_first_layer(cond.k, rows)
-    return partial(_clique_cover_bound, conflicts), None
+        return partial(reference_gap_relax, cond.k)
+    return partial(_clique_cover_bound, conflicts)
 
 
-def reference_recursive_levels_for_chains(n, cond, ell, stop=True):
+def reference_recursive_levels_for_chains(n, cond, ell, stop=True, inherit=True):
     # The search as a recursive closure, before it ran on an explicit stack,
-    # with its node count, for KatonaGap and custom tables at ell >= 2.
-    # With stop, the root's bound is the target, the first leaf that meets it
-    # ends the search and the first dive takes no bound.  Without stop it is
-    # the search before that rule: every node is bounded, and the search runs
-    # until no node is left.  Returns (count, levels, nodes).
+    # with the mask-general reference_chain_bound at every bounded node, for
+    # KatonaGap and custom tables at ell >= 2.  With stop, the root's bound
+    # is the target, the first leaf that meets it ends the search and the
+    # first dive takes no bound.  With inherit, a node dies when the bound of
+    # its nearest bounded ancestor (the target on the first dive) cannot
+    # beat the incumbent, before its own is computed.  Without either it is
+    # the search before those rules: every node is bounded, and the search
+    # runs until no node is left.  Returns (count, levels, nodes, bounds),
+    # bounds the number of bounds computed.
     conflicts = level_conflicts(cond, n)
     if ell > n + 1:
-        return 0, (), 0
+        return 0, (), 0, 0
     rows = [binomial_row(h) for h in range(n + 1)]
-    relax, first = search_relaxation(cond, conflicts, rows)
+    relax = search_relaxation(cond, conflicts)
     best_count = 0
     best_witness = ()
     nodes = 0
+    bounds = 0
     target = None
     dive = stop
 
-    def dfs(avail, sums, total, chosen):
+    def node_bound(sums, total, avail):
+        nonlocal bounds
+        bounds += 1
+        return reference_chain_bound(rows, conflicts, relax, sums, total, avail)
+
+    def dfs(avail, sums, total, chosen, inherited):
         nonlocal best_count, best_witness, nodes, target, dive
         if best_count == target:
             return
         nodes += 1
+        if inherit and inherited <= best_count:
+            return
         if avail == 0:
             dive = False
             if total > best_count:
                 best_count = total
                 best_witness = tuple(chosen)
             return
-        if nodes == 1 or not dive:
-            bound = _chain_bound(rows, conflicts, relax, first, sums, total, avail)
-            if nodes == 1 and stop:
-                target = bound
+        bound = inherited
+        if not dive:
+            bound = node_bound(sums, total, avail)
             if bound <= best_count:
                 return
         h = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << h)
         chosen.append(h)
-        dfs(rest & ~conflicts[h], *_include(rows, sums, total, h), chosen)
+        dfs(rest & ~conflicts[h], *_include(rows, sums, total, h), chosen, bound)
         chosen.pop()
-        dfs(rest, sums, total, chosen)
+        dfs(rest, sums, total, chosen, bound)
 
-    dfs((1 << (n + 1)) - 1, [[0] * (n + 1) for _ in range(ell - 1)], 0, [])
-    return best_count, best_witness, nodes
+    avail = (1 << (n + 1)) - 1
+    sums = [[0] * (n + 1) for _ in range(ell - 1)]
+    root = math.inf
+    if stop:
+        root = target = node_bound(sums, 0, avail)
+        if root <= best_count:
+            # The root dies on its own bound, with or without inherit.
+            return best_count, best_witness, 1, bounds
+    dfs(avail, sums, 0, [], root)
+    return best_count, best_witness, nodes, bounds
 
 
 @contextmanager
@@ -183,7 +211,7 @@ def reference_chain_bound(rows, conflicts, relax, sums, total, avail):
     # The bound before its first layer came from a table built once per
     # search: every layer relaxes each level's own mask at the node.
     n = len(rows) - 1
-    levels = _bit_levels(avail)
+    levels = [b for b in range(n + 1) if avail >> b & 1]
     ubar = None  # U_1 = 1 everywhere
     for s in sums:
         nxt = [0] * (n + 1)
@@ -350,7 +378,7 @@ def test_optimal_levels_match_recursive_search_node_for_node(data, n, ell):
     # The stack search visits the recursive search's nodes in the same
     # order: same answer within its node count, over budget one node short.
     cond = data.draw(conditions_on(n, SEARCHED_KINDS))
-    count, levels, nodes = reference_recursive_levels_for_chains(n, cond, ell)
+    count, levels, nodes, _ = reference_recursive_levels_for_chains(n, cond, ell)
     result = optimal_levels_for_chains(n, cond, ell, node_budget=nodes)
     assert (result.count, result.levels) == (count, levels)
     if nodes:
@@ -360,11 +388,26 @@ def test_optimal_levels_match_recursive_search_node_for_node(data, n, ell):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(0, 20), ell=st.integers(2, 4))
+def test_inherited_bounds_keep_the_katona_nodes(data, n, ell):
+    # A KatonaGap child's bound never exceeds its parent's, so a node that
+    # inherits its ancestor's bound dies exactly where its own bound would
+    # kill it: the same nodes, never more bounds computed.
+    cond = data.draw(conditions_on(n, ("katona",)))
+    inherited = reference_recursive_levels_for_chains(n, cond, ell)
+    own = reference_recursive_levels_for_chains(n, cond, ell, inherit=False)
+    assert inherited[:3] == own[:3]
+    assert inherited[3] <= own[3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(2, 4))
 def test_stopped_search_answers_like_the_unstopped_search(data, n, ell):
-    # Stopping at the root bound and skipping the bound on the first dive
-    # change the nodes a search visits, never its answer or witness.
+    # Stopping at the root bound, skipping the bound on the first dive and
+    # inheriting bounds change the nodes a search visits, never its answer
+    # or witness.
     cond = data.draw(conditions_on(n, SEARCHED_KINDS))
-    count, levels, _ = reference_recursive_levels_for_chains(n, cond, ell, stop=False)
+    unstopped = reference_recursive_levels_for_chains(n, cond, ell, stop=False, inherit=False)
+    count, levels, _, _ = unstopped
     assert reference_recursive_levels_for_chains(n, cond, ell)[:2] == (count, levels)
     result = optimal_levels_for_chains(n, cond, ell)
     assert (result.count, result.levels) == (count, levels)
@@ -392,8 +435,8 @@ def test_optimal_levels_are_empty_past_n_plus_one(monkeypatch):
     # A chain of distinct subsets of [n] has at most n + 1 members, so the
     # search answers (0, ()) before it starts, with no binomial row built;
     # the reference search agrees.
-    monkeypatch.setattr(chaincount, "_chain_bound", no_search)
-    monkeypatch.setattr(chaincount, "binomial_row", no_search)
+    for name in ("_chain_bound", "_gap_bound", "binomial_row"):
+        monkeypatch.setattr(chaincount, name, no_search)
     for n in range(7):
         table = CustomPairwise(n, frozenset((a, a + 2) for a in range(n - 1)))
         for cond in (Antichain(), ErdosWindow(1), KatonaGap(2), RatioLambda(Fraction(3, 2)),
@@ -438,7 +481,7 @@ def test_relaxation_is_the_best_allowed_weight(data, n):
     if isinstance(cond, CustomPairwise):
         assert _clique_cover_bound(conflicts, w, mask) >= best
     else:
-        assert _gap_relax(cond.k, w, mask) == best
+        assert reference_gap_relax(cond.k, w, mask) == best
 
 
 @dataclass(frozen=True)
@@ -477,49 +520,81 @@ def search_state(data, n, ell, conflicts, cut):
 def test_chain_bound_is_admissible(data, n, ell):
     # A search node: an allowed chosen set below a cut, and as avail some of
     # the levels from the cut up that are compatible with every chosen level,
-    # or any mask of levels from the cut up.  The chains of chosen | S are
-    # bounded for every allowed S inside avail either way: the proof in
-    # _chain_bound needs only that avail lies above the chosen levels, and a
-    # mask that is not one run of levels reads the table's first layer on a
-    # superset of each level's mask.
+    # or any mask of levels from the cut up; for KatonaGap also a run [lo, n]
+    # from the cut up, the only avail its search bounds.  The chains of
+    # chosen | S are bounded for every allowed S inside avail either way: the
+    # proof in _chain_bound needs only that avail lies above the chosen
+    # levels.
     cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
     cut = data.draw(st.integers(0, n + 1))
     rows, chosen, compatible, sums, total = search_state(data, n, ell, conflicts, cut)
-    relax, first = search_relaxation(cond, conflicts, rows)
-    if data.draw(st.booleans()):
+    relax = search_relaxation(cond, conflicts)
+    gap = isinstance(cond, KatonaGap)
+    if gap:
+        avail = (1 << (n + 1)) - (1 << data.draw(st.integers(cut, n + 1)))
+    elif data.draw(st.booleans()):
         dropped = data.draw(st.integers(0, (1 << (n + 1)) - 1)) if data.draw(st.booleans()) else 0
         avail = compatible & ~dropped & ~((1 << cut) - 1)
     else:
         avail = data.draw(st.integers(0, (1 << (n + 1)) - 1)) & ~((1 << cut) - 1)
 
     assert total == count_chains_levels(n, chosen, ell)
-    assert _chain_bound(rows, conflicts, relax, first, sums, total, 0) == total
     best = max(
         count_chains_levels(n, chosen + extra, ell)
         for extra in allowed_subsets(avail, conflicts)
     )
-    assert _chain_bound(rows, conflicts, relax, first, sums, total, avail) >= best
+    if gap and avail:
+        first = _gap_first_layer(cond.k, rows)
+        assert _gap_bound(cond.k, rows, first, sums, total, avail) >= best
+    elif not gap:
+        assert _chain_bound(rows, conflicts, sums, total, 0) == total
+        assert _chain_bound(rows, conflicts, sums, total, avail) >= best
     assert reference_chain_bound(rows, conflicts, relax, sums, total, avail) >= best
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(0, 30), ell=st.integers(2, 4))
+@given(data=st.data(), n=st.integers(0, 30), ell=st.integers(2, 5))
 def test_chain_bound_matches_reference_on_runs(data, n, ell):
-    # The KatonaGap searches only ever ask for one run of levels [lo, hi)
-    # above the chosen ones; there the first layer read from the table
-    # equals the per-node relax, so bounds and node counts are unchanged.
-    cond = data.draw(st.sampled_from([c for c in NAMED_CONDITIONS if isinstance(c, KatonaGap)]))
+    # The KatonaGap searches only ever bound one run of levels [lo, n] above
+    # the chosen ones; there _gap_bound, with its first layer read from the
+    # table and one gap pass per level, equals the mask-general bound.
+    cond = data.draw(conditions_on(n, ("katona",)))
     conflicts = level_conflicts(cond, n)
-    relax = partial(_gap_relax, cond.k)
-    lo = data.draw(st.integers(0, n + 1))
-    hi = data.draw(st.integers(lo, n + 1))
-    avail = (1 << hi) - (1 << lo)
+    lo = data.draw(st.integers(0, n))
     rows, _, _, sums, total = search_state(data, n, ell, conflicts, lo)
     first = _gap_first_layer(cond.k, rows)
-    assert _chain_bound(rows, conflicts, relax, first, sums, total, avail) == (
+    relax = search_relaxation(cond, conflicts)
+    avail = (1 << (n + 1)) - (1 << lo)
+    assert _gap_bound(cond.k, rows, first, sums, total, avail) == (
         reference_chain_bound(rows, conflicts, relax, sums, total, avail)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 20), ell=st.integers(2, 4))
+def test_gap_search_bounds_only_suffix_runs(data, n, ell):
+    # _gap_bound reads only the lowest level lo of avail: every node the
+    # KatonaGap search bounds, the root's target included, has avail = [lo, n],
+    # and there the bound is the mask-general one.  The search computes as
+    # many bounds as the reference.
+    cond = data.draw(conditions_on(n, ("katona",)))
+    conflicts = level_conflicts(cond, n)
+    relax = search_relaxation(cond, conflicts)
+    calls = []
+
+    def checked(k, rows, first, sums, total, avail):
+        lo = (avail & -avail).bit_length() - 1
+        assert avail == (1 << (n + 1)) - (1 << lo), bin(avail)
+        bound = _gap_bound(k, rows, first, sums, total, avail)
+        assert bound == reference_chain_bound(rows, conflicts, relax, sums, total, avail)
+        calls.append(lo)
+        return bound
+
+    with patch.object(chaincount, "_gap_bound", checked):
+        result = optimal_levels_for_chains(n, cond, ell)
+    assert (result.count, result.levels) == reference_optimal_levels_for_chains(n, cond, ell)
+    assert len(calls) == reference_recursive_levels_for_chains(n, cond, ell)[3]
 
 
 @settings(max_examples=300, deadline=None)
@@ -578,7 +653,7 @@ def seeded_custom_tables():
 
 
 def forbid_search(monkeypatch):
-    for name in ("_chain_bound", "_gap_first_layer", "_include"):
+    for name in ("_chain_bound", "_gap_bound", "_gap_first_layer", "_include"):
         monkeypatch.setattr(chaincount, name, no_search)
 
 
@@ -683,6 +758,32 @@ def test_search_stops_at_the_root_bound():
     result = optimal_levels_for_chains(400, KatonaGap(3), 3, node_budget=135)
     assert result.levels == tuple(range(0, 401, 3))
     assert result.count == count_chains_levels(400, result.levels, 3)
+
+
+def test_inherited_bounds_skip_bound_evaluations():
+    # KatonaGap(6) at n=28, ell=3: the root bound is not exact, so the search
+    # goes past its first dive, 61 nodes with or without inherited bounds.
+    # A node whose inherited bound cannot beat the incumbent dies before its
+    # own bound is computed: 40 bounds, the root's target included, where
+    # the search that bounds every node after the first dive computes 50.
+    cond = KatonaGap(6)
+    bounds = []
+
+    def counted(*args):
+        bounds.append(args[-1])
+        return _gap_bound(*args)
+
+    with patch.object(chaincount, "_gap_bound", counted):
+        result = optimal_levels_for_chains(28, cond, 3, node_budget=61)
+    with pytest.raises(SearchBudgetExceeded):
+        optimal_levels_for_chains(28, cond, 3, node_budget=60)
+    assert result.levels == (1, 7, 14, 21, 27)
+    assert result.count == count_chains_levels(28, result.levels, 3)
+    assert len(bounds) == 40
+    own = reference_recursive_levels_for_chains(28, cond, 3, inherit=False)
+    assert own[:3] == (result.count, result.levels, 61)
+    assert own[3] == 50
+    assert reference_recursive_levels_for_chains(28, cond, 3)[2:] == (61, 40)
 
 
 def test_search_leaves_no_cyclic_garbage():

@@ -136,6 +136,11 @@ def test_condition_parameter_validation():
         IntegerRatio(1)
     with pytest.raises(ValueError):
         KatonaGap(-1)
+    for bad in (1.1, 1.5, 2.0, True, "3/2", None):
+        with pytest.raises(ValueError, match="integer or a Fraction"):
+            RatioLambda(bad)
+    assert RatioLambda(3).ratio == Fraction(3)
+    assert RatioLambda(Fraction(11, 10)).ratio == Fraction(11, 10)
     with pytest.raises(ValueError):
         RatioLambda(Fraction(1))
     with pytest.raises(ValueError):
