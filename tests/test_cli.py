@@ -295,18 +295,21 @@ def test_verify_checks_ell_before_any_work(capsys, monkeypatch):
 
 
 def test_chains_past_n_plus_one_answers_without_searching(capsys, monkeypatch):
+    # The window scan and the level search both start from the binomial rows,
+    # so a row built at all means the ell > n + 1 answer was missed.
     from chainweight import chaincount
 
-    def no_search(*args):
-        raise AssertionError("level search ran")
+    def no_rows(*args):
+        raise AssertionError("binomial rows built")
 
-    monkeypatch.setattr(chaincount, "_chain_bound", no_search)
-    argv = ["--format", "json", "chains", "--n", "10", "--condition", "antichain",
-            "--ell", "1000000000"]
-    assert main(argv) == 0
-    outputs = json.loads(capsys.readouterr().out)["outputs"]
-    assert outputs["value"] == "0"
-    assert outputs["witness"] == []
+    monkeypatch.setattr(chaincount, "binomial_row", no_rows)
+    for condition in ("antichain", "katona:k=3"):
+        argv = ["--format", "json", "chains", "--n", "10", "--condition", condition,
+                "--ell", "1000000000"]
+        assert main(argv) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["value"] == "0"
+        assert outputs["witness"] == []
 
 
 def test_reproduce_fixed_witnesses():

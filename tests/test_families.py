@@ -38,7 +38,7 @@ from chainweight.families import (
     _masks,
     _subset_sum_inplace,
 )
-from test_chaincount import conditions_on
+from test_chaincount import ALL_KINDS, conditions_on
 
 
 def named_conditions(n):
@@ -686,6 +686,126 @@ def test_max_family_cap():
         max_family(8, Antichain())
     size, _ = max_family(8, Antichain(), accept_exponential=True)
     assert size == 70
+
+
+def reference_max_family(n, cond):
+    # max_family before the level branches: the greedy seed, then one branch
+    # per set in reversed colour order from the root down.
+    compatible, universe = families._compatibility(level_conflicts(cond, n), n)
+    incumbent = reference_greedy_family(compatible, n)
+    best = [incumbent.bit_count(), incumbent]
+    reference_expand_clique(compatible, best, 0, 0, universe)
+    return best[0], FamilyMask(n, best[1])
+
+
+def reference_greedy_family(compatible, n):
+    # The greedy seed as three passes over explicitly sorted vertex orders.
+    vertex_count = len(compatible)
+    orders = [
+        sorted(range(vertex_count), key=lambda v: (abs(2 * v.bit_count() - n), v)),
+        sorted(range(vertex_count), key=lambda v: (-compatible[v].bit_count(), v)),
+        list(range(vertex_count)),
+    ]
+    best = 0
+    for order in orders:
+        chosen = 0
+        allowed = (1 << vertex_count) - 1
+        for v in order:
+            if allowed >> v & 1:
+                chosen |= 1 << v
+                allowed &= compatible[v]
+        if chosen.bit_count() > best.bit_count():
+            best = chosen
+    return best
+
+
+def reference_expand_clique(compatible, best, size, bits, candidates):
+    if candidates == 0:
+        if size > best[0]:
+            best[:] = size, bits
+        return
+    colored = []
+    pool = candidates
+    color = 0
+    while pool:
+        color += 1
+        members = pool
+        while members:
+            v = (members & -members).bit_length() - 1
+            colored.append((v, color))
+            pool &= ~(1 << v)
+            members &= ~(1 << v) & ~compatible[v]
+    for v, bound in reversed(colored):
+        if size + bound <= best[0]:
+            return
+        reference_expand_clique(compatible, best, size + 1, bits | 1 << v, candidates & compatible[v])
+        candidates &= ~(1 << v)
+
+
+# Custom tables stop at n = 7: at n = 8 a few dense tables in a hundred take
+# the reference search seconds to minutes (neither search has a budget yet).
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8))
+def test_max_family_matches_reference_search(data, n):
+    kinds = ALL_KINDS if n <= 7 else tuple(k for k in ALL_KINDS if k != "custom")
+    cond = data.draw(conditions_on(n, kinds))
+    size, witness = max_family(n, cond, accept_exponential=True)
+    expected, reference_witness = reference_max_family(n, cond)
+    assert size == expected == witness.size()
+    assert family_satisfies(witness, cond)
+    # Both searches replace the incumbent only by a strictly larger family,
+    # so an optimal greedy seed is the witness of both.
+    if greedy_seed(n, cond).bit_count() == size:
+        assert witness == reference_witness
+
+
+def greedy_seed(n, cond):
+    compatible, _ = families._compatibility(level_conflicts(cond, n), n)
+    return reference_greedy_family(compatible, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10))
+def test_greedy_seed_matches_reference(data, n):
+    # The seed peels each group of levels instead of scanning sorted vertex
+    # orders; a vertex's degree depends only on its level, so the passes meet
+    # the vertices in the same order and choose the same ones.
+    cond = data.draw(conditions_on(n))
+    compatible, _ = families._compatibility(level_conflicts(cond, n), n)
+    assert families._greedy_family(compatible, n) == reference_greedy_family(compatible, n)
+
+
+def test_max_family_witness_below_a_short_seed():
+    # Greedy finds 57 here and the optimum is 63, so the incumbent must
+    # improve; the two searches meet different optima first.
+    pairs = {(0, 3), (0, 5), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (6, 7)}
+    cond = CustomPairwise(7, frozenset(pairs))
+    assert greedy_seed(7, cond).bit_count() == 57
+    size, witness = max_family(7, cond)
+    expected, reference_witness = reference_max_family(7, cond)
+    assert size == expected == witness.size() == 63
+    assert family_satisfies(witness, cond) and family_satisfies(reference_witness, cond)
+
+
+def test_max_family_matches_reference_search_on_bench_conditions():
+    # The eight conditions that bench/workloads.py draws for max_family, at
+    # its largest n.
+    for cond in (
+        Antichain(), ErdosWindow(1), ErdosWindow(2), KatonaGap(2), KatonaGap(3),
+        KatonaGap(4), RatioLambda(Fraction(3, 2)), IntegerRatio(2),
+    ):
+        size, witness = max_family(9, cond, accept_exponential=True)
+        assert (size, witness) == reference_max_family(9, cond), cond
+        assert family_satisfies(witness, cond)
+
+
+def test_max_family_level_branches_reach_n_10_and_11():
+    # Set by set, n = 10 KatonaGap(3) took about a minute to close the gap
+    # between the greedy seed (342, optimal) and the root colouring bound.
+    size, witness = max_family(10, KatonaGap(3), accept_exponential=True)
+    assert size == 342 == size_bound(10, KatonaGap(3)).value
+    assert family_satisfies(witness, KatonaGap(3))
+    assert max_family(11, KatonaGap(4), accept_exponential=True)[0] == 528
 
 
 def test_max_chains_family_examples():
