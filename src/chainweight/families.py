@@ -4,11 +4,11 @@ A family is one packed Python int, bit s set iff subset mask s belongs to it.
 `from_levels` and `family_satisfies` work on that int directly, with one
 cached mask table per n; the exact optimisers build their compatibility graph
 from the same level masks.  `count_chains_family` runs its subset-sum
-transform in the narrowest exact width that the full lattice's chain counts
-allow: packed integer lanes at n <= 10 and whenever int64 could overflow,
-otherwise a numpy int32 or int64 array.  numpy is imported only inside that
-array count (n > 10) and `members()`, so the level-set code and the small-n
-checks never load it.
+transform on packed integer lanes at n <= 10 and whenever the full lattice's
+chain counts could pass int64, else on a numpy array that each step sizes
+from the family's running chain total: uint16, uint32 or int64.  numpy is
+imported only inside that array count (n > 10) and `members()`, so the
+level-set code and the small-n checks never load it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ ADJACENCY_MAX_BYTES = 1 << 30
 PACKED_COUNT_MAX_N = 10
 # Subset-sum passes whose rows are shorter than this run one strided add per
 # column, each over 2^n / (2 step) elements, instead of one add whose inner
-# loop covers only `step` elements.  Timed over n = 11..17 in int32 and int64
-# (cuts 1..64): 16 was best from n = 14 on, taking 40-55% off the transform at
-# n = 16..17, and within 10 us of the best cut (8) below that.  At n = 19..20,
-# where the array outgrows the caches, 8 was up to 15% faster than 16.
+# loop covers only `step` elements.  Timed over n = 11..17 (cuts 1..64, best
+# of 7) in uint16, uint32, int32 and int64: 16 was best or within 2% from
+# n = 13 on, taking 40-55% off the transform at n = 16..17; 8 was 3-6 us
+# faster at n = 11..12, and up to 15% faster in int64 at n = 19..20, where
+# the array outgrows the caches.
 COLUMN_PASS_MAX_STEP = 16
 
 
@@ -209,17 +210,11 @@ def _lattice_chain_bound(n: int, ell: int) -> int:
     return max(_full_lattice_chains(n, j) for j in range(1, ell + 1))
 
 
-def _count_dtype(n: int, ell: int) -> str | None:
-    # The narrowest exact numpy dtype for the ell-chain count, or None for
-    # packed integer lanes: those win at small n and are the only exact
-    # choice once the count itself may pass int64, the dtype of the final
-    # sum.  Step j of the ell - 1 transform steps sums the j-chain counts
-    # over the subsets of s, so no array entry, partial sums included,
-    # exceeds the full lattice's j-chain count for some j <= ell - 1: int32
-    # holds them while that bound is below 2^31.
-    if n <= PACKED_COUNT_MAX_N or _lattice_chain_bound(n, ell) >= 2**63:
-        return None
-    return "int32" if _lattice_chain_bound(n, max(ell - 1, 1)) < 2**31 else "int64"
+def _count_packed(n: int, ell: int) -> bool:
+    # Packed integer lanes win at small n and are the only exact choice once
+    # the count itself may pass int64, the dtype of the array count's sums;
+    # otherwise the array count sizes each of its steps (`_count_chains_array`).
+    return n <= PACKED_COUNT_MAX_N or _lattice_chain_bound(n, ell) >= 2**63
 
 
 def count_chains_family(family: FamilyMask, ell: int) -> int:
@@ -231,10 +226,9 @@ def count_chains_family(family: FamilyMask, ell: int) -> int:
     if ell > family.n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return 0
-    dtype = _count_dtype(family.n, ell)
-    if dtype is None:
+    if _count_packed(family.n, ell):
         return _count_chains_packed(family, ell, _lattice_chain_bound(family.n, ell))
-    return _count_chains_array(family, ell, dtype)
+    return _count_chains_array(family, ell)
 
 
 @lru_cache(maxsize=4)
@@ -284,23 +278,28 @@ def _count_chains_packed(family: FamilyMask, ell: int, bound: int) -> int:
     return current
 
 
-def _count_chains_array(family: FamilyMask, ell: int, dtype: str) -> int:
-    # dtype must hold `_lattice_chain_bound(family.n, ell - 1)` and the count
-    # must fit int64; see `_count_dtype`.
+def _count_chains_array(family: FamilyMask, ell: int) -> int:
+    # The ell-chain count must fit int64; see `_count_packed`.
     import numpy as np
 
     indicator = _indicator(family)
-    # current[s]: chains of the current length in the family with top s.
-    current = indicator.astype(dtype)
-    previous = np.empty_like(current)
+    # current[s]: chains of the current length in the family with top s;
+    # total: their number, exact in int64.
+    current, total = indicator, family.size()
     for _ in range(ell - 1):
-        if not current.any():
+        if total == 0:
             return 0
-        previous[:] = current
+        # Every entry and partial sum of the transform of the nonnegative
+        # `current` is a sum of distinct entries, so at most `total`: each
+        # step runs in the narrowest width that holds it.
+        width = np.uint16 if total < 1 << 16 else np.uint32 if total < 1 << 32 else np.int64
+        current = current.astype(width)
+        previous = current.copy()
         _subset_sum_inplace(current, family.n)
         current -= previous
         current *= indicator
-    return int(current.sum(dtype=np.int64))
+        total = int(current.sum(dtype=np.int64))
+    return total
 
 
 def _check_adjacency(n: int, what: str) -> None:

@@ -3,6 +3,7 @@ import itertools
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from chainweight.families import (
     COLUMN_PASS_MAX_STEP,
     _count_chains_array,
     _count_chains_packed,
-    _count_dtype,
+    _count_packed,
     _full_lattice_chains,
     _lattice_chain_bound,
     _masks,
@@ -369,104 +370,137 @@ def test_count_chains_family_packed_path_n19():
     # 11-chains of the full lattice at n = 19 overflow int64, so the count
     # runs on packed lanes of 9 bytes.
     n, ell = 19, 11
-    assert _count_dtype(n, ell) is None
+    assert _count_packed(n, ell)
     expected = count_chains_levels(n, range(n + 1), ell)
     assert expected > 2**63
     assert count_chains_family(FamilyMask.full(n), ell) == expected
 
 
-def count_width(n, ell):
-    # The transform width count_chains_family picks: None for packed lanes.
-    return _count_dtype(n, ell)
+def step_widths(monkeypatch, family, ell):
+    # (count, the dtype of each array transform step) for count_chains_family.
+    widths = []
+    transform = families._subset_sum_inplace
+
+    def recording(arr, n):
+        widths.append(arr.dtype.name)
+        transform(arr, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_subset_sum_inplace", recording)
+        return count_chains_family(family, ell), widths
+
+
+def expected_width(total):
+    # The width rule: the step's input total bounds every entry of the step.
+    return "uint16" if total < 2**16 else "uint32" if total < 2**32 else "int64"
 
 
 def test_int64_guard_matches_full_lattice_counts():
-    # The width chooser against the full lattice's chain counts: packed
-    # lanes at n <= 10 and once the ell-chain count may pass 2^63, else
-    # int32 while the counts of chains one shorter stay below 2^31 (the
-    # transform's entries never exceed them) and int64 above.
+    # The path chooser against the full lattice's chain counts: packed lanes
+    # at n <= 10 and once the ell-chain count may pass 2^63, else the array
+    # count, whose sums are int64.
     for n in range(0, 21):
         full = [count_chains_levels(n, range(n + 1), j) for j in range(1, n + 4)]
         assert [_full_lattice_chains(n, j) for j in range(1, n + 4)] == full
         for ell in range(1, n + 4):
             bound = max(full[:ell])
             assert _lattice_chain_bound(n, ell) == bound
-            if n <= 10 or bound >= 2**63:
-                expected = None
-            else:
-                expected = "int32" if max(full[: max(ell - 1, 1)]) < 2**31 else "int64"
-            assert count_width(n, ell) == expected
+            assert _count_packed(n, ell) == (n <= 10 or bound >= 2**63)
     assert all(_lattice_chain_bound(n, ell) < 2**63 for n in range(19) for ell in range(1, 30))
-    assert all(count_width(n, ell) for n in range(11, 19) for ell in range(1, 30))
-    assert [count_width(19, ell) for ell in (10, 11)] == ["int64", None]
-    assert [count_width(20, ell) for ell in (8, 9)] == ["int64", None]
-    assert [count_width(19, 3), count_width(20, 3)] == ["int32", "int64"]
-    assert [count_width(15, 4), count_width(16, 4)] == ["int32", "int64"]
+    assert not any(_count_packed(n, ell) for n in range(11, 19) for ell in range(1, 30))
+    assert [_count_packed(19, ell) for ell in (10, 11)] == [False, True]
+    assert [_count_packed(20, ell) for ell in (8, 9)] == [False, True]
 
 
-def test_int32_cut_uses_the_shorter_chains():
-    # Past the full ell-chain bound's 2^31 cut, int32 stays exact while the
-    # (ell - 1)-chain bound is below 2^31: n = 16..19 at ell = 3 and
-    # n = 14..15 at ell = 4.  Just past it, where that bound lies between
-    # 2^31 and 2^33, int32 would overflow on the full family and int64 is
-    # picked, so a cut moved up to 2^33 fails here.
-    for n, ell in ((16, 3), (17, 3), (18, 3), (19, 3), (14, 4), (15, 4)):
-        assert _lattice_chain_bound(n, ell) >= 2**31
-        assert _lattice_chain_bound(n, ell - 1) < 2**31
-        assert count_width(n, ell) == "int32", (n, ell)
-    for n, ell in ((20, 3), (16, 4)):
-        assert 2**31 <= _lattice_chain_bound(n, ell - 1) < 2**33
-        assert count_width(n, ell) == "int64", (n, ell)
+def test_step_widths_follow_the_running_total(monkeypatch):
+    # Each step runs in uint16 while the chains it extends number below
+    # 2^16, uint32 below 2^32 and int64 above.  At n = 16 the full family's
+    # 2^16 members need uint32; one member fewer runs its first step in
+    # uint16 and its second, past 2^16 2-chains, in uint32.
+    n = 16
+    full = FamilyMask.full(n)
+    count, widths = step_widths(monkeypatch, full, 3)
+    assert (count, widths) == (_full_lattice_chains(n, 3), ["uint32", "uint32"])
+    for missing in (0, 1 << 7 | 1 << 3, (1 << n) - 1):
+        family = FamilyMask(n, full.bits ^ 1 << missing)
+        assert family.size() == 2**16 - 1
+        expected = _count_chains_packed(family, 3, _lattice_chain_bound(n, 3))
+        assert count_chains_family(family, 2) > 2**16
+        assert step_widths(monkeypatch, family, 3) == (expected, ["uint16", "uint32"])
 
 
-def test_count_chains_family_full_lattice_across_widths():
-    # The full family holds the most chains, so an int32 overflow anywhere
-    # in n = 11..18 would show here.
-    for n in range(11, 19):
+def test_step_widths_narrow_with_the_total(monkeypatch):
+    # The 9-sets of [20] without element 0, an antichain of C(19, 9) =
+    # 92,378 sets, plus the chain {0} < {0, 1} < {0, 1, 2}: the first step
+    # runs in uint32, the next, over 3 2-chains, in uint16.
+    n = 20
+    low, level = _masks(n)
+    family = FamilyMask(n, level[9] & low[0] | 1 << 0b1 | 1 << 0b11 | 1 << 0b111)
+    assert family.size() == comb(19, 9) + 3 > 2**16
+    assert step_widths(monkeypatch, family, 3) == (1, ["uint32", "uint16"])
+    assert step_widths(monkeypatch, family, 4) == (0, ["uint32", "uint16", "uint16"])
+
+
+def test_count_chains_family_full_lattice_across_widths(monkeypatch):
+    # The full family holds the most chains of any family at its n, so a
+    # step sized too narrow anywhere in n = 11..20 would show here; each step
+    # takes the width of the full lattice's count of the chains it extends.
+    for n in range(11, 21):
         full = FamilyMask.full(n)
         for ell in range(2, 6):
-            assert count_chains_family(full, ell) == _full_lattice_chains(n, ell), (n, ell)
+            count, widths = step_widths(monkeypatch, full, ell)
+            assert count == _full_lattice_chains(n, ell), (n, ell)
+            assert widths == [expected_width(_full_lattice_chains(n, j)) for j in range(1, ell)]
+    # At n = 20 its 2^20 sets and 3^20 - 2^20 2-chains fit uint32; its
+    # 3-chains, about 1.09e12, need int64.
+    assert 2**31 < _full_lattice_chains(20, 2) < 2**32 < _full_lattice_chains(20, 3)
+    assert widths == ["uint32", "uint32", "int64", "int64"]
 
 
-def test_array_count_matches_packed_across_int32_cut():
-    # At ell = 4, n = 15 runs in int32 and n = 16 in int64; seeded dense and
-    # sparse families on both sides of the cut.
+def test_array_count_matches_packed_across_step_widths():
+    # At ell = 4 and n = 15..16, seeded dense and sparse families, whose
+    # steps run in uint16 and uint32 (int64 needs 2^32 chains: see the full
+    # lattice above).
     import random
 
     rng = random.Random(1516)
     for n in (15, 16):
         bound = _lattice_chain_bound(n, 4)
-        for density_rounds in (0, 3):
+        for density_rounds in (0, 3, 8):
             bits = rng.getrandbits(1 << n)
             for _ in range(density_rounds):
                 bits &= rng.getrandbits(1 << n)
             family = FamilyMask(n, bits)
             expected = _count_chains_packed(family, 4, bound)
             assert count_chains_family(family, 4) == expected
-            assert _count_chains_array(family, 4, "int64") == expected
-            if _lattice_chain_bound(n, 3) < 2**31:
-                assert _count_chains_array(family, 4, "int32") == expected
+            assert _count_chains_array(family, 4) == expected
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(0, 14), data=st.data())
-def test_subset_sum_matches_reference(n, data):
-    # n = 14 has passes on both sides of COLUMN_PASS_MAX_STEP; the values are
-    # small enough that no sum wraps.
+@given(n=st.integers(0, 14), width=st.sampled_from(["int64", "uint32", "uint16"]), data=st.data())
+def test_subset_sum_matches_reference(n, width, data):
+    # n = 14 has passes on both sides of COLUMN_PASS_MAX_STEP.  Every output
+    # entry is a sum of at most 2^n inputs, so inputs below 2^-n of the
+    # width's range never wrap; int64 inputs are signed.
     assert 1 <= COLUMN_PASS_MAX_STEP <= 1 << 13
     rng = data.draw(st.randoms(use_true_random=False))
-    values = np.array([rng.randint(-(2**40), 2**40) for _ in range(1 << n)], dtype=np.int64)
-    expected = values.copy()
+    if width == "int64":
+        low, high = -(2**40), 2**40
+    else:
+        low, high = 0, np.iinfo(width).max >> n
+    values = np.array([rng.randint(low, high) for _ in range(1 << n)], dtype=width)
+    expected = values.astype(np.int64)
     reference_subset_sum(expected, n)
     got = values.copy()
     _subset_sum_inplace(got, n)
-    assert np.array_equal(got, expected)
+    assert got.dtype == width
+    assert np.array_equal(got.astype(np.int64), expected)
 
 
 def test_count_chains_family_is_zero_past_n_plus_one(monkeypatch):
     # A chain of distinct subsets of [n] has at most n + 1 members, so longer
     # chains are counted as 0 before either transform runs.
-    def no_transform(family, ell, width):
+    def no_transform(family, ell, *bound):
         raise AssertionError(f"transform ran at n={family.n}, ell={ell}")
 
     monkeypatch.setattr(families, "_count_chains_packed", no_transform)
@@ -482,7 +516,8 @@ def test_count_chains_family_is_zero_past_n_plus_one(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(case=families_up_to(13, min_n=6), data=st.data())
 def test_packed_count_matches_int64_count(case, data):
-    # Both private paths on the same family, across the n = 10/11 cut.
+    # Both private paths on the same family, across the n = 10/11 cut; the
+    # array count's steps take the widths its totals allow, its sums int64.
     family, _ = case
     n = family.n
     ell = data.draw(st.integers(2, n + 1))
@@ -490,9 +525,7 @@ def test_packed_count_matches_int64_count(case, data):
     assert bound < 2**63
     expected = count_chains_family(family, ell)
     assert _count_chains_packed(family, ell, bound) == expected
-    assert _count_chains_array(family, ell, "int64") == expected
-    if _lattice_chain_bound(n, ell - 1) < 2**31:
-        assert _count_chains_array(family, ell, "int32") == expected
+    assert _count_chains_array(family, ell) == expected
     if n <= 8 and ell <= 4:
         assert expected == reference_count_chains_family(family, ell)
 
