@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -23,6 +22,7 @@ from .conditions import (
     normalize_levels,
 )
 from .levelbounds import _clique_cover_bound, _gap_sums, size_bound
+from .record import Record
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -31,13 +31,15 @@ class SearchBudgetExceeded(RuntimeError):
     """The level-set search passed its node budget before finishing."""
 
 
-@dataclass(frozen=True)
-class ChainCountResult:
+class ChainCountResult(Record):
     """An exact ell-chain count with the level set that attains it."""
 
-    count: int
-    levels: tuple[int, ...]
-    ell: int
+    _fields = ("count", "levels", "ell")
+
+    def __init__(self, count: int, levels: tuple[int, ...], ell: int) -> None:
+        self.__dict__["count"] = count
+        self.__dict__["levels"] = levels
+        self.__dict__["ell"] = ell
 
 
 def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:

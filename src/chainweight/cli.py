@@ -12,17 +12,12 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+# chaincount and families load inside the commands that call them, so a
+# process compiles and runs only the modules its command needs.
 from .binom import chain_weight
-from .chaincount import (
-    DEFAULT_NODE_BUDGET,
-    SearchBudgetExceeded,
-    count_chains_levels,
-    optimal_levels_for_chains,
-)
 from .conditions import (
     allowed_levels,
     Antichain,
@@ -34,15 +29,6 @@ from .conditions import (
     RatioLambda,
     load_custom_condition,
 )
-from .families import (
-    CHAIN_OPTIMIZE_MAX_N,
-    FamilyMask,
-    OPTIMIZE_MAX_N,
-    count_chains_family,
-    family_satisfies,
-    max_chains_family,
-    max_family,
-)
 from .levelbounds import (
     best_ratio_window,
     erdos_bound,
@@ -51,6 +37,7 @@ from .levelbounds import (
     size_bound,
     sperner_bound,
 )
+from .record import Record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,41 +128,46 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@dataclass
-class RunReport:
-    """Self-describing result record; identical inputs reproduce identical outputs."""
+class RunReport(Record):
+    """Self-describing result record; identical inputs reproduce identical outputs.
 
-    command: str
-    inputs: dict
-    outputs: dict
-    provenance: str
-    timing_ms: float = field(default=0.0)
+    The command's wall time is not part of the record: `main` measures it
+    and passes it to `render`.
+    """
 
-    def to_dict(self) -> dict:
+    _fields = ("command", "inputs", "outputs", "provenance")
+
+    def __init__(self, command: str, inputs: dict, outputs: dict, provenance: str) -> None:
+        self.__dict__["command"] = command
+        self.__dict__["inputs"] = inputs
+        self.__dict__["outputs"] = outputs
+        self.__dict__["provenance"] = provenance
+
+    def to_dict(self, timing_ms: float) -> dict:
         return {
             "command": self.command,
             "inputs": self.inputs,
             "outputs": self.outputs,
             "provenance": self.provenance,
-            "timing_ms": self.timing_ms,
+            "timing_ms": timing_ms,
         }
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str, timing_ms: float) -> str:
         if fmt == "json":
-            return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            return json.dumps(self.to_dict(timing_ms), sort_keys=True, separators=(",", ":"))
         if fmt == "csv":
             rows = [("command", self.command)]
             rows.extend(_flatten("inputs", self.inputs))
             rows.extend(_flatten("outputs", self.outputs))
             rows.append(("provenance", self.provenance))
-            rows.append(("timing_ms", _plain(self.timing_ms)))
+            rows.append(("timing_ms", _plain(timing_ms)))
             return "key,value\n" + "\n".join(f"{k},{_csv_cell(v)}" for k, v in rows)
         if fmt == "text":
             lines = [f"command: {self.command}"]
             lines.extend(f"{k}: {v}" for k, v in _flatten("", self.inputs))
             lines.extend(f"{k}: {v}" for k, v in _flatten("", self.outputs))
             lines.append(f"provenance: {self.provenance}")
-            lines.append(f"timing_ms: {self.timing_ms}")
+            lines.append(f"timing_ms: {timing_ms}")
             return "\n".join(lines)
         raise UsageError(f"unknown format '{fmt}'")
 
@@ -259,6 +251,8 @@ def cmd_bound(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_chains(args: argparse.Namespace) -> RunReport:
+    from .chaincount import DEFAULT_NODE_BUDGET, count_chains_levels, optimal_levels_for_chains
+
     cond = parse_condition(args.condition)
     inputs = _echo_inputs(args, condition=True, ell=True)
     if args.levels is not None:
@@ -271,7 +265,8 @@ def cmd_chains(args: argparse.Namespace) -> RunReport:
             "allowed": allowed_levels(cond, levels),
         }
         return RunReport("chains", inputs, outputs, provenance="direct-count")
-    result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=args.budget)
+    budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+    result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=budget)
     outputs = {
         "value": str(result.count),
         "witness": _levels_list(result.levels),
@@ -280,6 +275,16 @@ def cmd_chains(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> RunReport:
+    from .families import (
+        CHAIN_OPTIMIZE_MAX_N,
+        FamilyMask,
+        OPTIMIZE_MAX_N,
+        count_chains_family,
+        family_satisfies,
+        max_chains_family,
+        max_family,
+    )
+
     cond = parse_condition(args.condition)
     inputs = _echo_inputs(args, condition=True)
     if args.ell is not None:
@@ -322,6 +327,8 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     }
     mismatch = bound.value < brute_size or (named and bound.value != brute_size)
     if args.ell is not None:
+        from .chaincount import optimal_levels_for_chains
+
         chain_opt = optimal_levels_for_chains(args.n, cond, args.ell)
         chain_brute, _ = max_chains_family(
             args.n, cond, args.ell, accept_exponential=args.accept_exponential
@@ -338,6 +345,9 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 
 
 def _reproduction_rows() -> list[dict]:
+    from .chaincount import count_chains_levels, optimal_levels_for_chains
+    from .families import FamilyMask, family_satisfies
+
     checks = [
         ("2-chains in levels {0,3,6} of [6]", "41", lambda: count_chains_levels(6, (0, 3, 6), 2)),
         ("2-chains in levels {1,4} of [6]", "60", lambda: count_chains_levels(6, (1, 4), 2)),
@@ -454,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     chains.add_argument(
         "--budget",
         type=_positive_int,
-        default=DEFAULT_NODE_BUDGET,
         help="search node budget for the optimizer",
     )
     _add_common_flags(chains, suppress=True)
@@ -492,17 +501,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SearchBudgetExceeded as exc:
+    except _search_budget_exceeded() as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MismatchReport as exc:
-        exc.report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
-        print(exc.report.render(args.format))
+        timing_ms = round((time.perf_counter() - start) * 1000, 3)
+        print(exc.report.render(args.format, timing_ms))
         print(exc, file=sys.stderr)
         return EXIT_MISMATCH
-    report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
-    print(report.render(args.format))
+    timing_ms = round((time.perf_counter() - start) * 1000, 3)
+    print(report.render(args.format, timing_ms))
     return EXIT_OK
+
+
+def _search_budget_exceeded() -> type[Exception] | tuple[()]:
+    """chaincount's SearchBudgetExceeded, or no type at all if it is not loaded.
+
+    Only chaincount raises it, so a command that never imported chaincount
+    cannot have raised it, and `main` need not load chaincount to catch it.
+    """
+    chaincount = sys.modules.get(f"{__package__}.chaincount")
+    return () if chaincount is None else chaincount.SearchBudgetExceeded
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Union
+
+from .record import Record
 
 
 def _is_int(value) -> bool:
@@ -29,67 +30,65 @@ def _check_param(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(Record):
     """Forbids every nested pair: at most one set per full chain."""
 
     def forbids(self, a: int, b: int) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class ErdosWindow:
+class ErdosWindow(Record):
     """Forbids nested pairs whose sizes differ by more than k."""
 
-    k: int
+    _fields = ("k",)
 
-    def __post_init__(self) -> None:
-        _check_param("k", self.k, 1)
+    def __init__(self, k: int) -> None:
+        _check_param("k", k, 1)
+        self.__dict__["k"] = k
 
     def forbids(self, a: int, b: int) -> bool:
         return b - a > self.k
 
 
-@dataclass(frozen=True)
-class KatonaGap:
+class KatonaGap(Record):
     """Forbids nested pairs whose sizes differ by less than k."""
 
-    k: int
+    _fields = ("k",)
 
-    def __post_init__(self) -> None:
-        _check_param("k", self.k, 1)
+    def __init__(self, k: int) -> None:
+        _check_param("k", k, 1)
+        self.__dict__["k"] = k
 
     def forbids(self, a: int, b: int) -> bool:
         return b - a < self.k
 
 
-@dataclass(frozen=True)
-class RatioLambda:
+class RatioLambda(Record):
     """Forbids nested pairs with ratio * |A| <= |B|, for an exact ratio > 1."""
 
-    ratio: Fraction
+    _fields = ("ratio",)
 
-    def __post_init__(self) -> None:
-        if not (_is_int(self.ratio) or isinstance(self.ratio, Fraction)):  # a float is inexact
-            raise ValueError(f"ratio must be an integer or a Fraction, got {self.ratio!r}")
-        ratio = Fraction(self.ratio)
+    def __init__(self, ratio: Fraction) -> None:
+        if not (_is_int(ratio) or isinstance(ratio, Fraction)):  # a float is inexact
+            raise ValueError(f"ratio must be an integer or a Fraction, got {ratio!r}")
+        ratio = Fraction(ratio)
         if ratio <= 1:
             raise ValueError(f"ratio must exceed 1, got {ratio}")
-        object.__setattr__(self, "ratio", ratio)
+        self.__dict__["ratio"] = ratio
 
     def forbids(self, a: int, b: int) -> bool:
         # ratio * a <= b, compared exactly as p*a <= q*b for ratio = p/q.
         return self.ratio.numerator * a <= self.ratio.denominator * b
 
 
-@dataclass(frozen=True)
-class IntegerRatio:
+class IntegerRatio(Record):
     """Forbids nested pairs with c * |A| <= |B| for an integer c >= 2."""
 
-    c: int
+    _fields = ("c",)
 
-    def __post_init__(self) -> None:
-        _check_param("c", self.c, 2)
+    def __init__(self, c: int) -> None:
+        _check_param("c", c, 2)
+        self.__dict__["c"] = c
 
     @cached_property  # forbids reads it twice per pair of a conflict compile
     def ratio(self) -> Fraction:
@@ -98,28 +97,27 @@ class IntegerRatio:
     forbids = RatioLambda.forbids
 
 
-@dataclass(frozen=True)
-class CustomPairwise:
+class CustomPairwise(Record):
     """Explicit table of forbidden size pairs (a, b) with 0 <= a < b <= n."""
 
-    n: int
-    forbidden: frozenset[tuple[int, int]]
+    _fields = ("n", "forbidden")
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        pairs = [tuple(pair) for pair in self.forbidden]
+    def __init__(self, n: int, forbidden: Iterable[tuple[int, int]]) -> None:
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        pairs = [tuple(pair) for pair in forbidden]
         for pair in pairs:
             if len(pair) != 2:
                 raise ValueError(f"forbidden entries must be pairs, got {pair!r}")
             a, b = pair
             if not (_is_int(a) and _is_int(b)):
                 raise ValueError(f"forbidden pair must hold integers, got {pair!r}")
-            if not 0 <= a < b <= self.n:
+            if not 0 <= a < b <= n:
                 raise ValueError(
-                    f"forbidden pair must satisfy 0 <= a < b <= {self.n}, got {pair!r}"
+                    f"forbidden pair must satisfy 0 <= a < b <= {n}, got {pair!r}"
                 )
-        object.__setattr__(self, "forbidden", frozenset(pairs))
+        self.__dict__["n"] = n
+        self.__dict__["forbidden"] = frozenset(pairs)
 
     def forbids(self, a: int, b: int) -> bool:
         if b > self.n:

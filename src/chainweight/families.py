@@ -14,7 +14,6 @@ level-set code and the small-n checks never load it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -22,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 # forbidden_pair is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
 from .conditions import Condition, forbidden_pair, level_conflicts  # noqa: F401
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,21 +78,21 @@ def _masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(low), tuple(level)
 
 
-@dataclass(frozen=True, repr=False)
-class FamilyMask:
+class FamilyMask(Record):
     """A family F of subsets of [n] as an indicator over all 2^n subset masks.
 
     Bit s of `bits` is set iff the subset whose characteristic mask is s
     belongs to F.
     """
 
-    n: int
-    bits: int
+    _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        _check_n(self.n, "FamilyMask")
-        if self.bits < 0 or self.bits >> (1 << self.n):
-            raise ValueError(f"indicator out of range for n={self.n}")
+    def __init__(self, n: int, bits: int) -> None:
+        _check_n(n, "FamilyMask")
+        if bits < 0 or bits >> (1 << n):
+            raise ValueError(f"indicator out of range for n={n}")
+        self.__dict__["n"] = n
+        self.__dict__["bits"] = bits
 
     @classmethod
     def empty(cls, n: int) -> "FamilyMask":
@@ -137,7 +137,7 @@ class FamilyMask:
         return format(self.bits, f"0{digits}x")
 
     def __repr__(self) -> str:
-        # The default repr prints bits in decimal, which overflows int's
+        # Record's repr prints bits in decimal, which overflows int's
         # string-conversion limit from n = 14 on.
         return f"FamilyMask(n={self.n}, bits=0x{self.to_hex()})"
 

@@ -278,12 +278,12 @@ def test_verify_past_the_adjacency_limit_exits_1(capsys, monkeypatch):
 
 
 def test_verify_checks_ell_before_any_work(capsys, monkeypatch):
-    from chainweight import cli
+    from chainweight import families
 
     def no_brute_force(*args, **kwargs):
         raise AssertionError("max_family ran")
 
-    monkeypatch.setattr(cli, "max_family", no_brute_force)
+    monkeypatch.setattr(families, "max_family", no_brute_force)
     assert main(["verify", "--n", "7", "--condition", "katona:k=3", "--ell", "0"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -291,7 +291,7 @@ def test_verify_checks_ell_before_any_work(capsys, monkeypatch):
     assert main(["verify", "--n", "6", "--condition", "katona:k=3", "--ell", "2"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"n <= {cli.CHAIN_OPTIMIZE_MAX_N}" in out.err
+    assert f"n <= {families.CHAIN_OPTIMIZE_MAX_N}" in out.err
 
 
 def test_chains_past_n_plus_one_answers_without_searching(capsys, monkeypatch):
@@ -423,8 +423,9 @@ def test_verify_mismatch_exits_2(monkeypatch, capsys):
     # Fault injection: a brute-force result that disagrees with the bound
     # must surface as a verification mismatch, not a crash.
     import chainweight.cli as cli
+    from chainweight import families
 
-    monkeypatch.setattr(cli, "max_family", lambda n, cond, **kw: (10**9, None))
+    monkeypatch.setattr(families, "max_family", lambda n, cond, **kw: (10**9, None))
     code = cli.main(["--format", "json", "verify", "--n", "4", "--condition", "antichain"])
     assert code == 2
     captured = capsys.readouterr()
