@@ -13,7 +13,6 @@ _EXPORTS = {
     "binom": ("binomial", "binomial_row", "chain_weight"),
     "chaincount": (
         "ChainCountResult",
-        "SearchBudgetExceeded",
         "best_window_for_chains",
         "count_chains_levels",
         "optimal_levels_for_chains",
@@ -42,6 +41,7 @@ _EXPORTS = {
     ),
     "levelbounds": (
         "BoundResult",
+        "SearchBudgetExceeded",
         "best_ratio_window",
         "erdos_bound",
         "integer_ratio_levels",

@@ -10,25 +10,11 @@ from typing import Iterable, Sequence
 # binomial is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
 from .binom import binomial, binomial_row  # noqa: F401
-from .conditions import (
-    Antichain,
-    Condition,
-    CustomPairwise,
-    ErdosWindow,
-    IntegerRatio,
-    KatonaGap,
-    RatioLambda,
-    level_conflicts,
-    normalize_levels,
-)
-from .levelbounds import _clique_cover_bound, _gap_sums, size_bound
+from .conditions import Condition, level_conflicts, level_shape, normalize_levels
+from .levelbounds import SearchBudgetExceeded, _clique_cover_bound, _gap_sums, size_bound
 from .record import Record
 
 DEFAULT_NODE_BUDGET = 10**8
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The level-set search passed its node budget before finishing."""
 
 
 class ChainCountResult(Record):
@@ -88,10 +74,10 @@ def optimal_levels_for_chains(
 
     The witness is the lexicographically smallest maximizer (the empty set
     when no allowed set reaches a positive count).  At ell = 1 a level set's
-    count is its weight, so this is size_bound's answer.  Antichain,
-    ErdosWindow and the ratio conditions take one scan over windows of
-    levels (see _best_window).  KatonaGap and custom tables at ell >= 2 are
-    searched depth first on an explicit stack, ascending with the include
+    count is its weight, so this is size_bound's answer.  At ell >= 2 a
+    window level_shape takes one scan over windows of levels (see
+    _best_window), and a gap (KatonaGap) or a custom table is searched
+    depth first on an explicit stack, ascending with the include
     branch first, so no input reaches the recursion limit; each node carries
     the chain counts of its chosen levels (see _include) and the bound of
     its nearest bounded ancestor: _gap_bound for KatonaGap, _chain_bound
@@ -101,8 +87,7 @@ def optimal_levels_for_chains(
     inherited bound, and else its own, cannot beat the incumbent.
     node_budget counts the nodes of that search as they are popped, the
     root as node 1, and it is the only search with any; past it
-    SearchBudgetExceeded is raised.  Any other condition type raises
-    TypeError.
+    SearchBudgetExceeded is raised.  Any other type raises TypeError.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -111,18 +96,16 @@ def optimal_levels_for_chains(
     if ell == 1:
         bound = size_bound(n, cond)
         return ChainCountResult(bound.value, bound.witness, ell)
-    conflicts = level_conflicts(cond, n)
-    window = isinstance(cond, (Antichain, ErdosWindow, RatioLambda, IntegerRatio))
-    if not (window or isinstance(cond, (KatonaGap, CustomPairwise))):
-        raise TypeError(f"not a condition: {cond!r}")
+    kind, shape = level_shape(cond, n)
     if ell > n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
     rows = [binomial_row(h) for h in range(n + 1)]
-    if window:
-        return _best_window(rows, conflicts, ell)
-    if isinstance(cond, KatonaGap):
-        node_bound = partial(_gap_bound, cond.k, rows, _gap_first_layer(cond.k, rows))
+    if kind == "window":
+        return _best_window(rows, shape, ell)
+    conflicts = shape if kind == "table" else level_conflicts(cond, n)
+    if kind == "gap":
+        node_bound = partial(_gap_bound, shape, rows, _gap_first_layer(shape, rows))
     else:
         node_bound = partial(_chain_bound, rows, conflicts)
     best_count = 0
@@ -168,20 +151,16 @@ def optimal_levels_for_chains(
     return ChainCountResult(best_count, best_witness, ell)
 
 
-def _best_window(rows: list[list[int]], conflicts: tuple[int, ...], ell: int) -> ChainCountResult:
-    # Under Antichain, ErdosWindow and the ratio conditions a pair a < b
-    # conflicts iff b > top(a), and top never decreases, so the allowed sets
-    # are exactly the subsets of the windows [m, top(m)].  top(m) is the
-    # level below m's first conflict above it, or n if none.  In a level set
-    # with an ell-chain every level lies on one, so adding a level adds
-    # chains: every positive maximizer is a whole window, and the smallest m
-    # wins ties.  Once top(m) = n every later window lies inside this one.
+def _best_window(rows: list[list[int]], tops: Sequence[int], ell: int) -> ChainCountResult:
+    # Under a window shape a < b conflict iff b > tops[a], tops nondecreasing,
+    # so the allowed sets are the subsets of the windows [m, tops[m]].  Every
+    # level of a set with an ell-chain lies on one, so adding a level adds
+    # chains: each positive maximizer is a whole window, the smallest m wins
+    # ties, and once tops[m] = n every later window lies inside this one.
     n = len(rows) - 1
     best_count = 0
     best_witness: tuple[int, ...] = ()
-    for m in range(n + 1):
-        above = conflicts[m] >> (m + 1)
-        top = m + (above & -above).bit_length() - 1 if above else n
+    for m, top in enumerate(tops):
         count = _count_window(rows, m, top, ell)
         if count > best_count:
             best_count = count

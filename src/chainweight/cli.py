@@ -30,6 +30,7 @@ from .conditions import (
     load_custom_condition,
 )
 from .levelbounds import (
+    SearchBudgetExceeded,
     best_ratio_window,
     erdos_bound,
     katona_bound,
@@ -201,10 +202,6 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _levels_list(levels: Sequence[int]) -> list[int]:
-    return [int(h) for h in levels]
-
-
 def _parse_levels(text: str) -> tuple[int, ...]:
     try:
         return tuple(_parse_int(part) for part in text.split(","))
@@ -231,7 +228,7 @@ def cmd_bound(args: argparse.Namespace) -> RunReport:
     result = size_bound(args.n, cond)
     outputs = {
         "value": str(result.value),
-        "witness": _levels_list(result.witness),
+        "witness": list(result.witness),
     }
     closed = _closed_form_value(args.n, cond)
     if closed is not None:
@@ -257,11 +254,11 @@ def cmd_chains(args: argparse.Namespace) -> RunReport:
     inputs = _echo_inputs(args, condition=True, ell=True)
     if args.levels is not None:
         levels = _parse_levels(args.levels)
-        inputs["levels"] = _levels_list(levels)
+        inputs["levels"] = list(levels)
         count = count_chains_levels(args.n, levels, args.ell)
         outputs = {
             "value": str(count),
-            "witness": _levels_list(sorted(levels)),
+            "witness": sorted(levels),
             "allowed": allowed_levels(cond, levels),
         }
         return RunReport("chains", inputs, outputs, provenance="direct-count")
@@ -269,7 +266,7 @@ def cmd_chains(args: argparse.Namespace) -> RunReport:
     result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=budget)
     outputs = {
         "value": str(result.count),
-        "witness": _levels_list(result.levels),
+        "witness": list(result.levels),
     }
     return RunReport("chains", inputs, outputs, provenance="enumeration")
 
@@ -321,7 +318,7 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     brute_size, _ = max_family(args.n, cond, accept_exponential=args.accept_exponential)
     outputs = {
         "bound": str(bound.value),
-        "witness": _levels_list(bound.witness),
+        "witness": list(bound.witness),
         "brute": str(brute_size),
         "equal": bound.value == brute_size,
     }
@@ -501,7 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _search_budget_exceeded() as exc:
+    except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MismatchReport as exc:
@@ -512,16 +509,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     timing_ms = round((time.perf_counter() - start) * 1000, 3)
     print(report.render(args.format, timing_ms))
     return EXIT_OK
-
-
-def _search_budget_exceeded() -> type[Exception] | tuple[()]:
-    """chaincount's SearchBudgetExceeded, or no type at all if it is not loaded.
-
-    Only chaincount raises it, so a command that never imported chaincount
-    cannot have raised it, and `main` need not load chaincount to catch it.
-    """
-    chaincount = sys.modules.get(f"{__package__}.chaincount")
-    return () if chaincount is None else chaincount.SearchBudgetExceeded
 
 
 if __name__ == "__main__":

@@ -4,13 +4,17 @@ Every condition here is determined by which (smaller size, larger size)
 pairs are forbidden for a strictly nested pair A < B.  Such conditions are
 chain-dependent: a family violates the condition exactly when some full
 chain's intersection with it does, which `is_chain_dependent` can verify
-exhaustively at tiny n.
+exhaustively at tiny n.  Each type defines its pairs once: KatonaGap (sizes
+closer than k) and custom tables by `forbids`, the window conditions by a
+nondecreasing `top`, past which every size conflicts with a.  `level_shape`
+gives these runs of levels, and `level_conflicts` builds its masks from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -30,14 +34,21 @@ def _check_param(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-class Antichain(Record):
-    """Forbids every nested pair: at most one set per full chain."""
+class _Window(Record):
+    """A condition that forbids a < b exactly when b > top(a), top nondecreasing."""
 
     def forbids(self, a: int, b: int) -> bool:
-        return True
+        return b > self.top(a)
 
 
-class ErdosWindow(Record):
+class Antichain(_Window):
+    """Forbids every nested pair: at most one set per full chain."""
+
+    def top(self, a: int) -> int:
+        return a
+
+
+class ErdosWindow(_Window):
     """Forbids nested pairs whose sizes differ by more than k."""
 
     _fields = ("k",)
@@ -46,8 +57,8 @@ class ErdosWindow(Record):
         _check_param("k", k, 1)
         self.__dict__["k"] = k
 
-    def forbids(self, a: int, b: int) -> bool:
-        return b - a > self.k
+    def top(self, a: int) -> int:
+        return a + self.k
 
 
 class KatonaGap(Record):
@@ -63,7 +74,7 @@ class KatonaGap(Record):
         return b - a < self.k
 
 
-class RatioLambda(Record):
+class RatioLambda(_Window):
     """Forbids nested pairs with ratio * |A| <= |B|, for an exact ratio > 1."""
 
     _fields = ("ratio",)
@@ -76,12 +87,12 @@ class RatioLambda(Record):
             raise ValueError(f"ratio must exceed 1, got {ratio}")
         self.__dict__["ratio"] = ratio
 
-    def forbids(self, a: int, b: int) -> bool:
-        # ratio * a <= b, compared exactly as p*a <= q*b for ratio = p/q.
-        return self.ratio.numerator * a <= self.ratio.denominator * b
+    def top(self, a: int) -> int:
+        # For ratio = p/q, b is allowed iff q*b < p*a, that is iff b <= (p*a - 1) // q.
+        return (self.ratio.numerator * a - 1) // self.ratio.denominator
 
 
-class IntegerRatio(Record):
+class IntegerRatio(_Window):
     """Forbids nested pairs with c * |A| <= |B| for an integer c >= 2."""
 
     _fields = ("c",)
@@ -90,11 +101,11 @@ class IntegerRatio(Record):
         _check_param("c", c, 2)
         self.__dict__["c"] = c
 
-    @cached_property  # forbids reads it twice per pair of a conflict compile
+    @cached_property  # top reads it twice per level
     def ratio(self) -> Fraction:
         return Fraction(self.c)
 
-    forbids = RatioLambda.forbids
+    top = RatioLambda.top
 
 
 class CustomPairwise(Record):
@@ -156,12 +167,23 @@ def allowed_levels(cond: Condition, levels: Iterable[int]) -> bool:
     )
 
 
+def level_shape(cond: Condition, n: int) -> tuple[str, object]:
+    """("gap", k), ("window", top(a) clipped to [a, n] per level a) or ("table", masks)."""
+    if isinstance(cond, _Window):
+        return "window", tuple(min(max(cond.top(a), a), n) for a in range(n + 1))
+    if isinstance(cond, KatonaGap):
+        return "gap", cond.k
+    if isinstance(cond, CustomPairwise):
+        return "table", level_conflicts(cond, n)
+    raise TypeError(f"not a condition: {cond!r}")
+
+
 def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     """Per-level conflict bitmasks: bit b of entry a is set iff {a, b} is forbidden.
 
-    Cached per (cond, n) for the named conditions; the optimizers query pairs
-    in inner loops.  Custom tables are rarely asked twice, so each call
-    compiles one straight from its pairs, which were checked when it was built.
+    Built from level_shape and cached per (cond, n) for the named conditions;
+    the optimizers query pairs in inner loops.  Custom tables are rarely asked
+    twice, so each call compiles one straight from its checked pairs.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -183,13 +205,18 @@ def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
 # n <= 200 and 26 MB at n = 1000.
 @lru_cache(maxsize=256)
 def _named_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
-    masks = [0] * (n + 1)
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            if forbidden_pair(cond, a, b):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return tuple(masks)
+    kind, shape = level_shape(cond, n)
+    if kind == "gap":  # the run (a - k, a + k) without a, clipped to [0, n] for any k
+        return tuple(
+            ((1 << min(a + shape, n + 1)) - (1 << max(a - shape + 1, 0))) ^ (1 << a)
+            for a in range(n + 1)
+        )
+    # The levels above tops[a], and the levels b < a with tops[b] < a: a
+    # prefix, since tops never decreases.
+    return tuple(
+        ((1 << (n + 1)) - (2 << top)) | ((1 << bisect_left(shape, a)) - 1)
+        for a, top in enumerate(shape)
+    )
 
 
 # The benchmark's trace counts compiles through level_conflicts.cache_info().

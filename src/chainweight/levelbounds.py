@@ -30,6 +30,11 @@ from .conditions import (
 METHOD_DP = "dp"
 METHOD_BRANCH_AND_BOUND = "branch-and-bound"
 
+
+class SearchBudgetExceeded(RuntimeError):
+    """The level search passed its node budget; defined here, which every CLI command loads."""
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """An exact bound value with the level set that attains it."""

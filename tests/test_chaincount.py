@@ -486,15 +486,16 @@ def test_relaxation_is_the_best_allowed_weight(data, n):
 
 @dataclass(frozen=True)
 class NotACondition:
-    # Compiles to conflict masks like a named condition, but is none of the
-    # condition types, so the chain optimum has no way to compute it.
+    # Has a forbids method like a condition, but is none of the condition
+    # types, so it has no level shape and nothing computes with it.
     def forbids(self, a, b):
         return b - a == 2
 
 
 def test_chain_optimum_rejects_non_conditions():
     # At every ell, past n + 1 too, where every condition's answer is (0, ()).
-    assert level_conflicts(NotACondition(), 4)
+    with pytest.raises(TypeError):
+        level_conflicts(NotACondition(), 4)
     for ell in (1, 2, 5, 6, 100):
         with pytest.raises(TypeError):
             optimal_levels_for_chains(4, NotACondition(), ell)
@@ -700,6 +701,38 @@ def test_windows_and_single_chains_run_no_search(monkeypatch):
             expected = size_bound(n, cond)
             result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
             assert (result.count, result.levels) == (expected.value, expected.witness), (cond, n)
+
+
+def reference_best_window(n, cond, ell):
+    # The heaviest window [m, top(m)], smallest m first, with top(m) the level
+    # below m's first conflict by forbidden_pair, and each window counted by
+    # count_chains_levels; a window inside the previous one cannot beat it.
+    best = (0, ())
+    last = -1
+    for m in range(n + 1):
+        top = m
+        while top < n and not forbidden_pair(cond, m, top + 1):
+            top += 1
+        if top > last:
+            count = count_chains_levels(n, range(m, top + 1), ell)
+            if count > best[0]:
+                best = (count, tuple(range(m, top + 1)))
+        last = top
+    return best
+
+
+@pytest.mark.parametrize("cond", [c for c in NAMED_CONDITIONS if not isinstance(c, KatonaGap)], ids=repr)
+def test_window_optima_compile_no_conflicts(cond, monkeypatch):
+    # Window conditions at ell >= 2 read their level shape, not conflict
+    # masks: chaincount's level_conflicts raises here.
+    def no_compile(*args):
+        raise AssertionError("conflicts compiled")
+
+    monkeypatch.setattr(chaincount, "level_conflicts", no_compile)
+    for n in (*range(41), 60, 100, 120):
+        for ell in (2, 3, 4):
+            result = optimal_levels_for_chains(n, cond, ell, node_budget=0)
+            assert (result.count, result.levels) == reference_best_window(n, cond, ell), (n, ell)
 
 
 def test_optimal_levels_witness_is_allowed():

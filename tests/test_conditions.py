@@ -25,6 +25,7 @@ from chainweight import (
     optimal_levels_for_chains,
     size_bound,
 )
+from chainweight.conditions import level_shape
 
 RATIOS = [Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(5, 2)]
 
@@ -184,6 +185,66 @@ def test_level_conflicts_matches_pairwise_predicate():
                 bit = bool(masks[a] >> b & 1)
                 assert bit == forbidden_pair(cond, a, b)
                 assert bool(masks[b] >> a & 1) == bit
+
+
+def reference_conflicts(cond, n):
+    # The pairwise compile, from the reference ladder rather than `forbids`.
+    masks = [0] * (n + 1)
+    for a, b in combinations(range(n + 1), 2):
+        if reference_forbidden_pair(cond, a, b):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return tuple(masks)
+
+
+def check_shape(cond, n):
+    assert level_conflicts(cond, n) == reference_conflicts(cond, n), (cond, n)
+    kind, shape = level_shape(cond, n)
+    if isinstance(cond, KatonaGap):
+        assert (kind, shape) == ("gap", cond.k)
+        return
+    assert kind == "window" and len(shape) == n + 1
+    assert all(lo <= hi for lo, hi in zip(shape, shape[1:])), (cond, n, shape)
+    for a, top in enumerate(shape):
+        # tops[a] + 1 is a's first conflict above it, if it is a level.
+        assert a <= top <= n
+        assert not any(reference_forbidden_pair(cond, a, b) for b in range(a + 1, top + 1))
+        assert top == n or reference_forbidden_pair(cond, a, top + 1), (cond, n, a)
+
+
+def edge_conditions(n):
+    # Gaps and windows at and past n, and ratios just above 1.
+    conds = [Antichain()]
+    for k in (n, n + 1, n + 5, 10**9):
+        conds += [ErdosWindow(max(k, 1)), KatonaGap(max(k, 1)), IntegerRatio(max(k, 2))]
+    conds += [RatioLambda(Fraction(q + 1, q)) for q in (1, 2, 3, 50, 399, 400)]
+    return conds + [RatioLambda(Fraction(1001, 1000))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 300])
+def test_shape_built_conflicts_at_the_edges(n):
+    for cond in edge_conditions(n):
+        check_shape(cond, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 300))
+def test_shape_built_conflicts_match_the_pairwise_compile(data, n):
+    k = st.one_of(st.integers(1, n + 6), st.sampled_from([n + 1, n + 5, 10**9]))
+    cond = data.draw(
+        st.one_of(
+            st.just(Antichain()),
+            st.builds(ErdosWindow, k),
+            st.builds(KatonaGap, k),
+            st.builds(lambda q: RatioLambda(Fraction(q + 1, q)), st.integers(1, 400)),
+            st.builds(
+                lambda p, q: RatioLambda(Fraction(q + p, q)), st.integers(1, 40), st.integers(1, 40)
+            ),
+            st.just(RatioLambda(Fraction(1001, 1000))),
+            st.builds(IntegerRatio, k.filter(lambda c: c >= 2)),
+        )
+    )
+    check_shape(cond, n)
 
 
 def test_level_conflicts_rejects_small_custom_table():
