@@ -76,7 +76,7 @@ def optimal_levels_for_chains(
     when no allowed set reaches a positive count).  At ell = 1 a level set's
     count is its weight, so this is size_bound's answer.  At ell >= 2 a
     window level_shape takes one scan over windows of levels (see
-    _best_window), and a gap (KatonaGap) or a custom table is searched
+    _best_windows), and a gap (KatonaGap) or a custom table is searched
     depth first on an explicit stack, ascending with the include
     branch first, so no input reaches the recursion limit; each node carries
     the chain counts of its chosen levels (see _include) and the bound of
@@ -102,7 +102,9 @@ def optimal_levels_for_chains(
         return ChainCountResult(0, (), ell)
     rows = [binomial_row(h) for h in range(n + 1)]
     if kind == "window":
-        return _best_window(rows, shape, ell)
+        count, starts = _best_windows(rows, shape, ell)
+        m = starts[0]
+        return ChainCountResult(count, tuple(range(m, shape[m] + 1)) if count else (), ell)
     conflicts = shape if kind == "table" else level_conflicts(cond, n)
     if kind == "gap":
         node_bound = partial(_gap_bound, shape, rows, _gap_first_layer(shape, rows))
@@ -151,29 +153,28 @@ def optimal_levels_for_chains(
     return ChainCountResult(best_count, best_witness, ell)
 
 
-def _best_window(rows: list[list[int]], tops: Sequence[int], ell: int) -> ChainCountResult:
-    # Under a window shape a < b conflict iff b > tops[a], tops nondecreasing,
-    # so the allowed sets are the subsets of the windows [m, tops[m]].  Every
-    # level of a set with an ell-chain lies on one, so adding a level adds
-    # chains: each positive maximizer is a whole window, the smallest m wins
-    # ties, and once tops[m] = n every later window lies inside this one.
+def _best_windows(
+    rows: list[list[int]], tops: Sequence[int], ell: int
+) -> tuple[int, tuple[int, ...]]:
+    # The largest ell-chain count over the windows [m, tops[m]] of 2^[n], and
+    # every m attaining it.  Under a window shape a < b conflict iff
+    # b > tops[a], tops nondecreasing, so the allowed sets are the subsets of
+    # these windows and adding a level adds chains: each positive maximizer
+    # is a whole window, and once tops[m] = n later windows lie inside it.
     n = len(rows) - 1
-    best_count = 0
-    best_witness: tuple[int, ...] = ()
+    best_count = -1
+    starts: list[int] = []
     for m, top in enumerate(tops):
-        count = _count_window(rows, m, top, ell)
+        below = [rows[h][m:h] for h in range(m, top + 1)]
+        count = _count_from_sorted(below, rows[n][m : top + 1], ell)
         if count > best_count:
             best_count = count
-            best_witness = tuple(range(m, top + 1))
+            starts = [m]
+        elif count == best_count:
+            starts.append(m)
         if top == n:
             break
-    return ChainCountResult(best_count, best_witness, ell)
-
-
-def _count_window(rows: list[list[int]], lo: int, hi: int, ell: int) -> int:
-    # ell-chains in the union of the levels lo..hi of 2^[n], n = len(rows) - 1.
-    below = [rows[h][lo:h] for h in range(lo, hi + 1)]
-    return _count_from_sorted(below, rows[-1][lo : hi + 1], ell)
+    return best_count, tuple(starts)
 
 
 def _include(
@@ -312,13 +313,4 @@ def best_window_for_chains(n: int, k: int, ell: int) -> tuple[int, tuple[int, ..
     if not 1 <= ell <= k + 1:
         raise ValueError(f"need 1 <= ell <= k + 1, got ell={ell}")
     rows = [binomial_row(h) for h in range(n + 1)]
-    best_count = -1
-    argmax: list[int] = []
-    for i in range(n - k + 1):
-        count = _count_window(rows, i, i + k, ell)
-        if count > best_count:
-            best_count = count
-            argmax = [i]
-        elif count == best_count:
-            argmax.append(i)
-    return best_count, tuple(argmax)
+    return _best_windows(rows, [min(i + k, n) for i in range(n + 1)], ell)

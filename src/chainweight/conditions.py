@@ -16,7 +16,7 @@ import itertools
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -100,10 +100,7 @@ class IntegerRatio(_Window):
     def __init__(self, c: int) -> None:
         _check_param("c", c, 2)
         self.__dict__["c"] = c
-
-    @cached_property  # top reads it twice per level
-    def ratio(self) -> Fraction:
-        return Fraction(self.c)
+        self.__dict__["ratio"] = Fraction(c)  # not a field: top reads it twice per level
 
     top = RatioLambda.top
 

@@ -203,6 +203,7 @@ def _full_lattice_chains(n: int, j: int) -> int:
     return sum((-1) ** i * comb(j - 1, i) * (j + 1 - i) ** n for i in range(j))
 
 
+@lru_cache(maxsize=None)
 def _lattice_chain_bound(n: int, ell: int) -> int:
     # Every entry and partial sum of the ell-chain count transform, and the
     # count itself, is at most the number of j-chains of the full lattice for

@@ -16,7 +16,8 @@ class Record:
     fields, and repr'd as `Type(field=value, ...)`.  Assignment and deletion
     raise AttributeError, so each subclass's own `__init__` stores its fields
     straight into `self.__dict__`, which is also faster than
-    `object.__setattr__`.
+    `object.__setattr__`.  That dict holds the fields and values computed
+    from them in `__init__`, nothing cached later: equality compares dicts.
     """
 
     _fields: tuple[str, ...] = ()
@@ -33,11 +34,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            # Equal instance dicts hold equal fields, and comparing them
-            # costs about what the dataclass's tuples did; the dicts differ
-            # on equal fields only when one holds a cached value such as
-            # IntegerRatio.ratio, so the fields decide.
-            return self.__dict__ == other.__dict__ or self._key(self) == other._key(other)
+            return self.__dict__ == other.__dict__
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -873,6 +873,25 @@ def test_best_window_maximizers_are_centered():
                 assert argmax == tuple(i for i, c in enumerate(counts) if c == count)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60))
+def test_window_scan_stops_at_the_first_top_at_n(data, n):
+    # Both window optima share one scan, whose tops clip at n: the Erdos
+    # windows start at 0..n - k, and the scan counts each of them once.
+    k = data.draw(st.integers(1, n), label="k")
+    ell = data.draw(st.integers(1, min(k + 1, 5)), label="ell")
+    counts = [window_chain_count(n, k, ell, i) for i in range(n - k + 1)]
+    best = max(counts)
+    argmax = tuple(i for i, c in enumerate(counts) if c == best)
+    counter = patch.object(chaincount, "_count_from_sorted", wraps=chaincount._count_from_sorted)
+    with counter as counted:
+        assert best_window_for_chains(n, k, ell) == (best, argmax)
+    assert counted.call_count == n - k + 1
+    if ell >= 2:
+        result = optimal_levels_for_chains(n, ErdosWindow(k), ell)
+        assert (result.count, result.levels) == (best, tuple(range(argmax[0], argmax[0] + k + 1)))
+
+
 def test_window_weights_strictly_unimodal():
     for n in range(1, 15):
         for k in range(1, min(n, 4) + 1):
