@@ -28,6 +28,13 @@ class ChainCountResult(Record):
         self.__dict__["ell"] = ell
 
 
+def _require_ints(**args: object) -> None:
+    # Sizes are ints: a bool would count as 0 or 1, and a float fails deep inside.
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
     """Number of ell-chains G_1 < ... < G_ell inside the union of the given levels of 2^[n].
 
@@ -35,6 +42,7 @@ def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
     levels h' of C(h, h') * u_{j-1}(h'), and the total is
     sum_h C(n, h) * u_ell(h).  Returns 0 when fewer than ell levels are given.
     """
+    _require_ints(n=n, ell=ell)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if ell < 1:
@@ -46,21 +54,16 @@ def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
 
 
 def _count_levels(n: int, hs: Sequence[int], ell: int) -> int:
-    # Only the coefficients between the given ascending levels: at a few
-    # levels of a large n, whole binomial rows cost more than they save.
-    below = [[math.comb(h, lo) for lo in hs[:i]] for i, h in enumerate(hs)]
-    return _count_from_sorted(below, [math.comb(n, h) for h in hs], ell)
-
-
-def _count_from_sorted(below: list[Sequence[int]], top: Sequence[int], ell: int) -> int:
-    # ell-chains in the union of levels h_0 < ... < h_{L-1} of 2^[n], given
-    # below[i] = [C(h_i, h_0), ..., C(h_i, h_{i-1})] and top[i] = C(n, h_i).
-    if len(top) < ell:
+    # ell-chains in the union of the ascending levels hs of 2^[n], over only
+    # the coefficients between them: at a few levels of a large n, whole
+    # binomial rows cost more than they save.
+    if len(hs) < ell:
         return 0
-    u = [1] * len(top)
+    below = [[math.comb(h, lo) for lo in hs[:i]] for i, h in enumerate(hs)]
+    u = [1] * len(hs)
     for _ in range(ell - 1):
         u = [sum(map(mul, row, u)) for row in below]
-    return sum(map(mul, top, u))
+    return sum(math.comb(n, h) * x for h, x in zip(hs, u))
 
 
 def optimal_levels_for_chains(
@@ -89,6 +92,7 @@ def optimal_levels_for_chains(
     root as node 1, and it is the only search with any; past it
     SearchBudgetExceeded is raised.  Any other type raises TypeError.
     """
+    _require_ints(n=n, ell=ell)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if ell < 1:
@@ -100,11 +104,11 @@ def optimal_levels_for_chains(
     if ell > n + 1:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return ChainCountResult(0, (), ell)
-    rows = [binomial_row(h) for h in range(n + 1)]
     if kind == "window":
-        count, starts = _best_windows(rows, shape, ell)
+        count, starts = _best_windows(n, shape, ell)
         m = starts[0]
         return ChainCountResult(count, tuple(range(m, shape[m] + 1)) if count else (), ell)
+    rows = [binomial_row(h) for h in range(n + 1)]
     conflicts = shape if kind == "table" else level_conflicts(cond, n)
     if kind == "gap":
         node_bound = partial(_gap_bound, shape, rows, _gap_first_layer(shape, rows))
@@ -153,28 +157,65 @@ def optimal_levels_for_chains(
     return ChainCountResult(best_count, best_witness, ell)
 
 
-def _best_windows(
-    rows: list[list[int]], tops: Sequence[int], ell: int
-) -> tuple[int, tuple[int, ...]]:
+def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int, ...]]:
     # The largest ell-chain count over the windows [m, tops[m]] of 2^[n], and
     # every m attaining it.  Under a window shape a < b conflict iff
     # b > tops[a], tops nondecreasing, so the allowed sets are the subsets of
     # these windows and adding a level adds chains: each positive maximizer
     # is a whole window, and once tops[m] = n later windows lie inside it.
-    n = len(rows) - 1
+    #
+    # Inside a window every level between two members of a chain is allowed,
+    # so an ell-chain is a pair A_1 <= A_ell of sizes a <= b with an ordered
+    # partition of A_ell - A_1 into r = ell - 1 nonempty blocks:
+    #   count([m, t]) = sum over m <= a <= b <= t of C(n, b) C(b, a) surj(b - a, r).
+    # The scan slides [m, t].  Dropping level a subtracts the terms with that
+    # a, C(n, a) C(n - a, d) surj(d, r) with d = b - a (as C(n, b) C(b, a) =
+    # C(n, a) C(n - a, b - a)); raising t adds the terms b = t,
+    # C(n, t) C(t, d) surj(d, r) with d = t - a.  Each sum skips d < r, where
+    # surj(d, r) = 0, and steps its C(., d) by the multiplicative recurrence.
+    stop = tops.index(n)
+    width = max(t - m for m, t in enumerate(tops[: stop + 1]))
+    r = ell - 1
+    surj = _surjections(width, r)
+    top = binomial_row(n)
     best_count = -1
     starts: list[int] = []
-    for m, top in enumerate(tops):
-        below = [rows[h][m:h] for h in range(m, top + 1)]
-        count = _count_from_sorted(below, rows[n][m : top + 1], ell)
+    count = 0
+    t = -1
+    for m in range(stop + 1):
+        if m:
+            a = m - 1
+            c = math.comb(n - a, r)
+            terms = 0
+            for d in range(r, t - a + 1):
+                terms += c * surj[d]
+                c = c * (n - a - d) // (d + 1)
+            count -= top[a] * terms
+        while t < tops[m]:
+            t += 1
+            c = math.comb(t, r)
+            terms = 0
+            for d in range(r, t - m + 1):
+                terms += c * surj[d]
+                c = c * (t - d) // (d + 1)
+            count += top[t] * terms
         if count > best_count:
             best_count = count
             starts = [m]
         elif count == best_count:
             starts.append(m)
-        if top == n:
-            break
     return best_count, tuple(starts)
+
+
+def _surjections(width: int, r: int) -> list[int]:
+    # surj(d, r) for d = 0..width, the surjections of a d-set onto an r-set,
+    # by surj(d, j) = j * (surj(d - 1, j - 1) + surj(d - 1, j)).
+    row = [1] + [0] * width
+    for j in range(1, r + 1):
+        prev, row = row, [0] * (width + 1)
+        for d in range(j, width + 1):
+            row[d] = j * (prev[d - 1] + row[d - 1])
+    return row
 
 
 def _include(
@@ -293,6 +334,7 @@ def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
 
 def window_chain_count(n: int, k: int, ell: int, i: int) -> int:
     """Number of ell-chains in the union of the k+1 consecutive levels {i, ..., i+k}."""
+    _require_ints(n=n, k=k, ell=ell, i=i)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if not 0 <= i <= n - k:
@@ -308,9 +350,9 @@ def best_window_for_chains(n: int, k: int, ell: int) -> tuple[int, tuple[int, ..
     Returns (count, positions) where positions lists each window start i
     attaining the maximum, in ascending order.
     """
+    _require_ints(n=n, k=k, ell=ell)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= ell <= k + 1:
         raise ValueError(f"need 1 <= ell <= k + 1, got ell={ell}")
-    rows = [binomial_row(h) for h in range(n + 1)]
-    return _best_windows(rows, [min(i + k, n) for i in range(n + 1)], ell)
+    return _best_windows(n, [min(i + k, n) for i in range(n + 1)], ell)

@@ -39,6 +39,7 @@ from chainweight.chaincount import (
     _gap_first_layer,
     _include,
 )
+from chainweight.conditions import level_shape
 from chainweight.levelbounds import _clique_cover_bound, _gap_sums, size_bound
 
 
@@ -303,6 +304,32 @@ def test_count_rejects_bad_input():
     for levels in ((), (0,)):
         with pytest.raises(ValueError, match="nonnegative"):
             count_chains_levels(-3, levels, 2)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: count_chains_levels(6, [1, 3], True), "ell"),
+        (lambda: count_chains_levels(6.0, [1, 3], 2), "n"),
+        (lambda: count_chains_levels(False, [], 2), "n"),
+        (lambda: optimal_levels_for_chains(6.0, KatonaGap(2), 2), "n"),
+        (lambda: optimal_levels_for_chains(6, Antichain(), True), "ell"),
+        (lambda: optimal_levels_for_chains(6, ErdosWindow(1), 2.0), "ell"),
+        (lambda: window_chain_count(6, 2, 2, 1.0), "i"),
+        (lambda: window_chain_count(6, True, 2, 1), "k"),
+        (lambda: window_chain_count(6, 2, "2", 1), "ell"),
+        (lambda: best_window_for_chains(True, 1, 2), "n"),
+        (lambda: best_window_for_chains(6, 1.0, 2), "k"),
+        (lambda: best_window_for_chains(6, 1, Fraction(2)), "ell"),
+    ],
+)
+def test_chain_functions_reject_non_integer_arguments(call, name, monkeypatch):
+    # A bool or a non-int size is refused by name before any work: nothing
+    # below the argument check runs.
+    for helper in ("binomial_row", "level_shape", "size_bound", "normalize_levels"):
+        monkeypatch.setattr(chaincount, helper, no_search)
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()
 
 
 def test_optimal_levels_examples():
@@ -883,13 +910,66 @@ def test_window_scan_stops_at_the_first_top_at_n(data, n):
     counts = [window_chain_count(n, k, ell, i) for i in range(n - k + 1)]
     best = max(counts)
     argmax = tuple(i for i, c in enumerate(counts) if c == best)
-    counter = patch.object(chaincount, "_count_from_sorted", wraps=chaincount._count_from_sorted)
+    counter = patch.object(chaincount, "binomial_row", wraps=chaincount.binomial_row)
     with counter as counted:
         assert best_window_for_chains(n, k, ell) == (best, argmax)
-    assert counted.call_count == n - k + 1
+    assert counted.call_count == 1
     if ell >= 2:
         result = optimal_levels_for_chains(n, ErdosWindow(k), ell)
         assert (result.count, result.levels) == (best, tuple(range(argmax[0], argmax[0] + k + 1)))
+
+
+WINDOW_KINDS = ("antichain", "erdos", "ratio", "intratio")
+
+
+def surjections(d, r):
+    # Onto maps from a d-set to an r-set, by inclusion-exclusion.
+    return sum((-1) ** j * math.comb(r, j) * (r - j) ** d for j in range(r + 1))
+
+
+def reference_best_windows(rows, tops, ell):
+    # The window scan before the chain-interval identity: every window
+    # [m, tops[m]] recounted from the binomial matrix rows by the u_j
+    # recurrence, m upward until the first top at n; returns the largest
+    # count and every m attaining it.
+    n = len(rows) - 1
+    best_count = -1
+    starts = []
+    for m, top in enumerate(tops):
+        below = [rows[h][m:h] for h in range(m, top + 1)]
+        weights = rows[n][m : top + 1]
+        count = 0
+        if len(weights) >= ell:
+            u = [1] * len(weights)
+            for _ in range(ell - 1):
+                u = [sum(map(mul, row, u)) for row in below]
+            count = sum(map(mul, weights, u))
+        if count > best_count:
+            best_count = count
+            starts = [m]
+        elif count == best_count:
+            starts.append(m)
+        if top == n:
+            break
+    return best_count, tuple(starts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 120), ell=st.integers(1, 6))
+def test_window_scan_is_the_chain_interval_identity(data, n, ell):
+    # count([m, t]) = sum over m <= a <= b <= t of C(n, b) C(b, a) surj(b - a, ell - 1),
+    # and the sliding scan built on it answers like the per-window recount.
+    m = data.draw(st.integers(0, n), label="m")
+    t = data.draw(st.integers(m, n), label="t")
+    identity = sum(
+        math.comb(n, b) * math.comb(b, a) * surjections(b - a, ell - 1)
+        for b in range(m, t + 1)
+        for a in range(m, b + 1)
+    )
+    assert identity == count_chains_levels(n, range(m, t + 1), ell)
+    _, tops = level_shape(data.draw(conditions_on(n, WINDOW_KINDS)), n)
+    rows = [binomial_row(h) for h in range(n + 1)]
+    assert chaincount._best_windows(n, tops, ell) == reference_best_windows(rows, tops, ell)
 
 
 def test_window_weights_strictly_unimodal():

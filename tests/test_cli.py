@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,42 @@ def test_verify_custom_condition(tmp_path):
     report = json.loads(result.stdout)
     assert result.returncode == 0
     assert int(report["outputs"]["bound"]) >= int(report["outputs"]["brute"])
+
+
+def overshoot(fn, attr):
+    # fn with its answer's count field raised by one.
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        result.__dict__[attr] += 1
+        return result
+
+    return wrapped
+
+
+def test_verify_holds_custom_tables_to_equality(capsys, monkeypatch):
+    # A custom table is chain-dependent like every pairwise size condition,
+    # so its size and chain optima equal brute force: verify flags a custom
+    # optimum above brute force too.
+    import chainweight.cli
+    from chainweight import chaincount
+
+    table = Path(__file__).parent / "golden" / "custom.json"
+    argv = ["--format", "json", "verify", "--n", "4", "--condition", f"custom:file={table}",
+            "--ell", "2"]
+    assert main(argv) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["equal"] is True and outputs["chains_equal"] is True
+    with monkeypatch.context() as patched:
+        patched.setattr(chainweight.cli, "size_bound", overshoot(chainweight.cli.size_bound, "value"))
+        assert main(argv[:-2]) == 2
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["equal"] is False
+    with monkeypatch.context() as patched:
+        optimum = overshoot(chaincount.optimal_levels_for_chains, "count")
+        patched.setattr(chaincount, "optimal_levels_for_chains", optimum)
+        assert main(argv) == 2
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert (outputs["equal"], outputs["chains_equal"]) == (True, False)
 
 
 def test_custom_table_rejects_json_booleans(tmp_path):

@@ -1,9 +1,11 @@
 import gc
 import itertools
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from chainweight import (
     IntegerRatio,
     KatonaGap,
     RatioLambda,
+    chain_weight,
     count_chains_family,
     count_chains_levels,
     family_satisfies,
@@ -618,6 +621,31 @@ def test_count_chains_levels_equals_family_oracle():
                     assert count_chains_levels(n, levels, ell) == count_chains_family(
                         fam, ell
                     )
+
+
+def test_count_chains_family_is_the_full_chain_count():
+    # The paper's count through the n! full chains: an ell-chain of sizes
+    # a_1 < ... < a_ell lies on a_1! (a_2 - a_1)! ... (n - a_ell)! of them,
+    # which is n! / chain_weight(n, sizes), so n! * count_chains_family(F, ell)
+    # is the sum over full chains C and over the ell-subsets S of F & C of
+    # chain_weight(n, sizes(S)).  Chains meeting F in the same sizes are
+    # summed once, with their multiplicity.
+    rng = random.Random(2022)
+    for n in range(7):
+        chains = _full_chain_indicators(n)
+        for _ in range(30):
+            density = rng.random()
+            fam = FamilyMask(n, sum(1 << m for m in range(1 << n) if rng.random() < density))
+            meets = Counter(
+                tuple(m.bit_count() for m in range(1 << n) if (fam.bits & chain) >> m & 1)
+                for chain in chains
+            )
+            for ell in range(1, n + 3):
+                total = sum(
+                    times * sum(chain_weight(n, sizes) for sizes in itertools.combinations(met, ell))
+                    for met, times in meets.items()
+                )
+                assert total == factorial(n) * count_chains_family(fam, ell), (n, fam.bits, ell)
 
 
 def test_max_family_examples():
