@@ -7,14 +7,14 @@ from functools import partial
 from operator import add, mul
 from typing import Iterable, Sequence
 
-# binomial is not called here; it stays bound because bench/tracing.py
-# rebinds it on this module by name.
+# binomial and SearchBudgetExceeded are not used here; they stay bound
+# because bench/tracing.py reads them on this module by name.
 from .binom import binomial, binomial_row  # noqa: F401
-from .conditions import Condition, level_conflicts, level_shape, normalize_levels
-from .levelbounds import SearchBudgetExceeded, _clique_cover_bound, _gap_sums, size_bound
+from .conditions import Condition, _require_ints, level_conflicts, level_shape, normalize_levels
+from .levelbounds import SearchBudgetExceeded  # noqa: F401
+from .levelbounds import DEFAULT_NODE_BUDGET, _clique_cover_bound, _gap_sums, _search_levels
+from .levelbounds import size_bound
 from .record import Record
-
-DEFAULT_NODE_BUDGET = 10**8
 
 
 class ChainCountResult(Record):
@@ -26,13 +26,6 @@ class ChainCountResult(Record):
         self.__dict__["count"] = count
         self.__dict__["levels"] = levels
         self.__dict__["ell"] = ell
-
-
-def _require_ints(**args: object) -> None:
-    # Sizes are ints: a bool would count as 0 or 1, and a float fails deep inside.
-    for name, value in args.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
@@ -79,18 +72,13 @@ def optimal_levels_for_chains(
     when no allowed set reaches a positive count).  At ell = 1 a level set's
     count is its weight, so this is size_bound's answer.  At ell >= 2 a
     window level_shape takes one scan over windows of levels (see
-    _best_windows), and a gap (KatonaGap) or a custom table is searched
-    depth first on an explicit stack, ascending with the include
-    branch first, so no input reaches the recursion limit; each node carries
-    the chain counts of its chosen levels (see _include) and the bound of
-    its nearest bounded ancestor: _gap_bound for KatonaGap, _chain_bound
-    for a custom table.  The root's bound is the target: 0 answers at once,
-    and the search stops at the first leaf whose count meets it.  The first
-    dive, to the first leaf, takes no bound; after it a node dies when the
-    inherited bound, and else its own, cannot beat the incumbent.
-    node_budget counts the nodes of that search as they are popped, the
-    root as node 1, and it is the only search with any; past it
-    SearchBudgetExceeded is raised.  Any other type raises TypeError.
+    _best_windows), and a gap (KatonaGap) or a custom table takes the
+    level search of levelbounds._search_levels, its total the chain count:
+    each node carries the chain counts of its chosen levels (see _include)
+    and is bounded by _gap_bound for KatonaGap and _chain_bound for a
+    custom table.  node_budget counts the nodes of that search, the root as
+    node 1; past it SearchBudgetExceeded is raised.  Any other type raises
+    TypeError.
     """
     _require_ints(n=n, ell=ell)
     if n < 0:
@@ -114,47 +102,9 @@ def optimal_levels_for_chains(
         node_bound = partial(_gap_bound, shape, rows, _gap_first_layer(shape, rows))
     else:
         node_bound = partial(_chain_bound, rows, conflicts)
-    best_count = 0
-    best_witness: tuple[int, ...] = ()
-    nodes = 0
-    dive = True
-    # Include-first ascending branching reaches the leaves in lexicographic
-    # order and the incumbent changes only on a strictly larger count, so
-    # the first positive maximizer found is the lexicographically smallest
-    # one; zero-count ties are settled by initializing the incumbent with
-    # the empty set.  No count exceeds the target, the root's bound.  The
-    # first dive takes no bound: with the incumbent at 0 it could prune only
-    # nodes bounded by 0.  A node is (avail, sums, total, chosen, bound).
-    avail = (1 << (n + 1)) - 1
     sums = [[0] * (n + 1) for _ in range(ell - 1)]
-    target = node_bound(sums, 0, avail)
-    stack = [(avail, sums, 0, (), target)]
-    while stack:
-        avail, sums, total, chosen, bound = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"level search exceeded {node_budget} nodes at n={n}, ell={ell}"
-            )
-        if bound <= best_count:
-            continue
-        if avail == 0:
-            dive = False
-            if total > best_count:
-                best_count = total
-                best_witness = chosen
-                if total == target:
-                    break
-            continue
-        if not dive:
-            bound = node_bound(sums, total, avail)
-            if bound <= best_count:
-                continue
-        h = (avail & -avail).bit_length() - 1
-        rest = avail & ~(1 << h)
-        stack.append((rest, sums, total, chosen, bound))
-        stack.append((rest & ~conflicts[h], *_include(rows, sums, total, h), (*chosen, h), bound))
-    return ChainCountResult(best_count, best_witness, ell)
+    found = _search_levels(n, conflicts, sums, partial(_include, rows), node_bound, node_budget)
+    return ChainCountResult(*found, ell)
 
 
 def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int, ...]]:
@@ -171,8 +121,8 @@ def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int
     # The scan slides [m, t].  Dropping level a subtracts the terms with that
     # a, C(n, a) C(n - a, d) surj(d, r) with d = b - a (as C(n, b) C(b, a) =
     # C(n, a) C(n - a, b - a)); raising t adds the terms b = t,
-    # C(n, t) C(t, d) surj(d, r) with d = t - a.  Each sum skips d < r, where
-    # surj(d, r) = 0, and steps its C(., d) by the multiplicative recurrence.
+    # C(n, t) C(t, d) surj(d, r) with d = t - a.  Each sum skips the d with
+    # surj(d, r) = 0 (d < r, or d > 0 = r), stepping C(., d) multiplicatively.
     stop = tops.index(n)
     width = max(t - m for m, t in enumerate(tops[: stop + 1]))
     r = ell - 1
@@ -187,7 +137,7 @@ def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int
             a = m - 1
             c = math.comb(n - a, r)
             terms = 0
-            for d in range(r, t - a + 1):
+            for d in range(r, (t - a if r else 0) + 1):
                 terms += c * surj[d]
                 c = c * (n - a - d) // (d + 1)
             count -= top[a] * terms
@@ -195,7 +145,7 @@ def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int
             t += 1
             c = math.comb(t, r)
             terms = 0
-            for d in range(r, t - m + 1):
+            for d in range(r, (t - m if r else 0) + 1):
                 terms += c * surj[d]
                 c = c * (t - d) // (d + 1)
             count += top[t] * terms

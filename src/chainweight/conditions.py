@@ -28,6 +28,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_ints(**args: object) -> None:
+    # Sizes are ints: a bool would count as 0 or 1, and a float fails deep inside.
+    for name, value in args.items():
+        if not _is_int(value):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_param(name: str, value, least: int) -> None:
     if not _is_int(value) or value < least:
         what = "a positive integer" if least == 1 else f"an integer >= {least}"

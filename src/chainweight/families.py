@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 # forbidden_pair is not called here; it stays bound because bench/tracing.py
 # rebinds it on this module by name.
-from .conditions import Condition, forbidden_pair, level_conflicts  # noqa: F401
+from .conditions import Condition, _require_ints, forbidden_pair, level_conflicts  # noqa: F401
 from .record import Record
 
 if TYPE_CHECKING:
@@ -46,6 +46,7 @@ COLUMN_PASS_MAX_STEP = 16
 
 
 def _check_n(n: int, what: str) -> None:
+    _require_ints(n=n)
     if not 0 <= n <= SATISFIES_MAX_N:
         raise ValueError(f"{what} needs 0 <= n <= {SATISFIES_MAX_N}, got n={n}")
 
@@ -89,6 +90,7 @@ class FamilyMask(Record):
 
     def __init__(self, n: int, bits: int) -> None:
         _check_n(n, "FamilyMask")
+        _require_ints(bits=bits)
         if bits < 0 or bits >> (1 << n):
             raise ValueError(f"indicator out of range for n={n}")
         self.__dict__["n"] = n
@@ -220,6 +222,7 @@ def _count_packed(n: int, ell: int) -> bool:
 
 def count_chains_family(family: FamilyMask, ell: int) -> int:
     """Number of ell-tuples of distinct members totally ordered by strict inclusion."""
+    _require_ints(ell=ell)
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     if ell == 1:
@@ -489,6 +492,7 @@ def max_chains_family(
         raise ValueError(
             f"max_chains_family is doubly exponential; n={n} needs accept_exponential=True"
         )
+    _require_ints(ell=ell)
     if ell < 1:
         raise ValueError(f"ell must be a positive integer, got {ell}")
     _check_adjacency(n, "max_chains_family")

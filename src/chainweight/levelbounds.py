@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .binom import binomial, binomial_row
 from .conditions import (
@@ -24,11 +24,13 @@ from .conditions import (
     IntegerRatio,
     KatonaGap,
     RatioLambda,
+    _require_ints,
     level_conflicts,
 )
 
 METHOD_DP = "dp"
 METHOD_BRANCH_AND_BOUND = "branch-and-bound"
+DEFAULT_NODE_BUDGET = 10**8
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -46,6 +48,7 @@ class BoundResult:
 
 def sperner_bound(n: int) -> int:
     """Largest single binomial coefficient: C(n, floor(n/2))."""
+    _require_ints(n=n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return binomial(n, n // 2)
@@ -53,6 +56,7 @@ def sperner_bound(n: int) -> int:
 
 def erdos_bound(n: int, k: int) -> int:
     """Sum of the k+1 largest binomial coefficients of order n."""
+    _require_ints(n=n, k=k)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 1:
@@ -69,6 +73,7 @@ def erdos_bound(n: int, k: int) -> int:
 
 def katona_bound(n: int, k: int) -> int:
     """Sum of C(n, i) over levels i congruent to floor(n/2) mod k."""
+    _require_ints(n=n, k=k)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 1:
@@ -83,6 +88,7 @@ def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
     n/2 + offset, with offset normalized into (-k/2, k/2].  Offsets are
     half-integers when n is odd.  Returned sorted by offset.
     """
+    _require_ints(n=n, k=k)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 2:
@@ -101,6 +107,7 @@ def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
 
 def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
     """Sum of C(n, i) over integers i with k <= i < ratio * k."""
+    _require_ints(n=n, k=k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     ratio = Fraction(ratio)
@@ -112,6 +119,7 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
 
 def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
     """Maximum of ratio_window_weight over k in [1, n], with the smallest argmax k."""
+    _require_ints(n=n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ratio = Fraction(ratio)
@@ -123,6 +131,7 @@ def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
 
 def integer_ratio_levels(n: int, c: int) -> tuple[int, ...]:
     """The level window {k+1, ..., c(k+1)-1} with k = floor(n / (c+1)), clipped to [0, n]."""
+    _require_ints(n=n, c=c)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if c < 2:
@@ -137,10 +146,12 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
     The witness is the lexicographically smallest maximizing level set,
     compared as an ascending sequence.  The named conditions have exact
     optimizers.  A custom table is solved by one branch and bound over the
-    levels, heaviest first, pruned with a clique cover; level h weighs
-    C(n, h) << (n + 1) | 1 << (n - h), whose low bits break ties towards
-    the lexicographically smallest set and spell its levels.
+    levels, heaviest first, pruned with a clique cover (_search_levels,
+    raising SearchBudgetExceeded past DEFAULT_NODE_BUDGET nodes); level h
+    weighs C(n, h) << (n + 1) | 1 << (n - h), whose low bits break ties
+    towards the lexicographically smallest set and spell its levels.
     """
+    _require_ints(n=n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(cond, Antichain):
@@ -276,6 +287,59 @@ def _clique_cover_bound(conflicts: Sequence[int], w: list[int], avail: int) -> i
     return bound
 
 
+def _search_levels(
+    n: int, conflicts: Sequence[int], state, include: Callable, node_bound: Callable,
+    node_budget: int,
+) -> tuple[int, tuple[int, ...]]:
+    """The largest total of a level set of [0, n] allowed by conflicts, with the set.
+
+    Depth first on an explicit stack (no recursion limit), ascending,
+    include branch first.  A node is (avail, state, total, chosen, bound):
+    include(state, total, i) gives the state and total of chosen plus level
+    i, and node_bound(state, total, avail) bounds every allowed extension
+    within avail; bound is the nearest bounded ancestor's.  The root's
+    bound is the target: the search stops at the first leaf meeting it.
+    The first dive takes no bound (with the incumbent at 0 it could prune
+    only nodes bounded by 0); after it a node dies when the inherited
+    bound, and else its own, cannot beat the incumbent.  Leaves come in
+    lexicographic order and the incumbent changes only on a strictly larger
+    total, so the set is the lexicographically smallest maximizer, () if no
+    total is positive.  node_budget counts nodes as they are popped, the
+    root as node 1; past it SearchBudgetExceeded is raised.
+    """
+    best = 0
+    best_chosen: tuple[int, ...] = ()
+    nodes = 0
+    dive = True
+    avail = (1 << (n + 1)) - 1
+    target = node_bound(state, 0, avail)
+    stack = [(avail, state, 0, (), target)]
+    while stack:
+        avail, state, total, chosen, bound = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"level search exceeded {node_budget} nodes at n={n}")
+        if bound <= best:
+            continue
+        if avail == 0:
+            dive = False
+            if total > best:
+                best = total
+                best_chosen = chosen
+                if total == target:
+                    break
+            continue
+        if not dive:
+            bound = node_bound(state, total, avail)
+            if bound <= best:
+                continue
+        i = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << i)
+        stack.append((rest, state, total, chosen, bound))
+        stack.append((rest & ~conflicts[i], *include(state, total, i), (*chosen, i), bound))
+    return best, best_chosen
+
+
 def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     conflicts = level_conflicts(cond, n)
     # Level h weighs C(n, h) << (n + 1) | 1 << (n - h): the low bits add
@@ -293,21 +357,9 @@ def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
     w = [weight[h] for h in order]
     digits = itemgetter(*[n - h for h in reversed(order)])
     masks = [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
-    top = -1
-    # An include-first DFS pruned by the clique cover: a node is (avail,
-    # total), and the exclude child is pushed below the include child.
-    stack = [((1 << (n + 1)) - 1, 0)]
-    while stack:
-        avail, total = stack.pop()
-        if total + _clique_cover_bound(masks, w, avail) <= top:
-            continue
-        if avail == 0:
-            top = total
-            continue
-        low = avail & -avail
-        i = low.bit_length() - 1
-        rest = avail ^ low
-        stack.append((rest, total))
-        stack.append((rest & ~masks[i], total + w[i]))
+    top, _ = _search_levels(
+        n, masks, None, lambda _, total, i: (None, total + w[i]),
+        lambda _, total, avail: total + _clique_cover_bound(masks, w, avail), DEFAULT_NODE_BUDGET,
+    )
     witness = tuple(h for h in range(n + 1) if top >> (n - h) & 1)
     return BoundResult(top >> (n + 1), witness, METHOD_BRANCH_AND_BOUND)

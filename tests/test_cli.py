@@ -139,6 +139,23 @@ def test_chains_budget_exceeded_exit_code():
         assert "--budget" in rejected.stderr and "positive integer" in rejected.stderr
 
 
+def test_bound_budget_exceeded_exit_code(tmp_path, capsys, monkeypatch):
+    # The custom size_bound runs under levelbounds.DEFAULT_NODE_BUDGET: past
+    # it bound exits 3 as chains does, with nothing on stdout.  The search
+    # on one forbidden pair at n = 40 takes 41 nodes.
+    from chainweight import levelbounds
+
+    table = tmp_path / "pair.json"
+    table.write_text('{"n": 40, "forbidden": [[0, 1]]}', encoding="utf-8")
+    argv = ["bound", "--n", "40", "--condition", f"custom:file={table}"]
+    monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", 40)
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "budget exceeded" in out.err
+    monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", 41)
+    assert main(argv) == 0
+
+
 def test_verify_command():
     result = run_cli("--format", "json", "verify", "--n", "6", "--condition", "katona:k=3")
     report = json.loads(result.stdout)

@@ -993,3 +993,19 @@ def test_family_satisfies_agrees_with_chain_definition():
                 for chain in chains
             )
             assert whole == per_chain
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: FamilyMask(3, True), "bits"),
+        (lambda: FamilyMask(3.0, 0), "n"),
+        (lambda: FamilyMask.from_levels(True, [0]), "n"),
+        (lambda: count_chains_family(FamilyMask(3, 1), True), "ell"),
+        (lambda: max_family(True, Antichain()), "n"),
+        (lambda: max_chains_family(3, Antichain(), 2.0), "ell"),
+    ],
+)
+def test_family_functions_reject_non_integer_arguments(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()

@@ -16,6 +16,7 @@ from chainweight import (
     IntegerRatio,
     KatonaGap,
     RatioLambda,
+    SearchBudgetExceeded,
     allowed_levels,
     best_ratio_window,
     binomial_row,
@@ -30,6 +31,7 @@ from chainweight import (
     size_bound,
     sperner_bound,
 )
+from chainweight import levelbounds
 from chainweight.levelbounds import _clique_cover_bound
 from test_binom import full_recurrence_row
 from test_chaincount import shallow_recursion_limit
@@ -616,3 +618,44 @@ def test_preconditions_rejected():
         best_ratio_window(0, Fraction(3, 2))
     with pytest.raises(ValueError):
         integer_ratio_levels(5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: size_bound(True, Antichain()), "n"),
+        (lambda: size_bound(6.0, CustomPairwise(6, [(0, 1)])), "n"),
+        (lambda: sperner_bound(True), "n"),
+        (lambda: erdos_bound(6, 2.0), "k"),
+        (lambda: katona_bound(6, 2.0), "k"),
+        (lambda: katona_bound(False, 2), "n"),
+        (lambda: residue_class_weights(6, True), "k"),
+        (lambda: ratio_window_weight(6.0, 2, Fraction(3, 2)), "n"),
+        (lambda: ratio_window_weight(6, True, Fraction(3, 2)), "k"),
+        (lambda: best_ratio_window(True, Fraction(3, 2)), "n"),
+        (lambda: integer_ratio_levels(6, 2.0), "c"),
+    ],
+)
+def test_bound_functions_reject_non_integer_arguments(call, name):
+    # A bool would count as 0 or 1 and a float fails deep inside, so both
+    # are refused by name before any work.
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()
+
+
+def test_custom_search_stops_at_the_root_bound(monkeypatch):
+    # One forbidden pair: the clique cover is exact, so the search is its
+    # first dive, the root and one include per witness level, and it stops
+    # at that leaf.  It spends levelbounds.DEFAULT_NODE_BUDGET, read at each
+    # call, and past it raises as the chain search does.
+    n = 200
+    cond = CustomPairwise(n, [(0, 1)])
+    monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", n + 1)
+    result = size_bound(n, cond)
+    assert (result.value, result.witness) == (2**n - 1, tuple(range(1, n + 1)))
+    monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", n)
+    with pytest.raises(SearchBudgetExceeded):
+        size_bound(n, cond)
+    monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", 5)
+    with pytest.raises(SearchBudgetExceeded):
+        size_bound(40, random_table(40, 0.3, 0))
