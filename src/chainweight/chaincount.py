@@ -35,11 +35,7 @@ def count_chains_levels(n: int, levels: Iterable[int], ell: int) -> int:
     levels h' of C(h, h') * u_{j-1}(h'), and the total is
     sum_h C(n, h) * u_ell(h).  Returns 0 when fewer than ell levels are given.
     """
-    _require_ints(n=n, ell=ell)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+    _require_ints(n=(n, 0), ell=(ell, 1))
     hs = normalize_levels(levels)
     if hs and hs[-1] > n:
         raise ValueError(f"levels must lie in [0, {n}], got {hs}")
@@ -80,11 +76,7 @@ def optimal_levels_for_chains(
     node 1; past it SearchBudgetExceeded is raised.  Any other type raises
     TypeError.
     """
-    _require_ints(n=n, ell=ell)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+    _require_ints(n=(n, 0), ell=(ell, 1))
     if ell == 1:
         bound = size_bound(n, cond)
         return ChainCountResult(bound.value, bound.witness, ell)
@@ -284,9 +276,7 @@ def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
 
 def window_chain_count(n: int, k: int, ell: int, i: int) -> int:
     """Number of ell-chains in the union of the k+1 consecutive levels {i, ..., i+k}."""
-    _require_ints(n=n, k=k, ell=ell, i=i)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    _require_ints(n=(n, None), k=(k, 0), ell=(ell, None), i=(i, None))
     if not 0 <= i <= n - k:
         raise ValueError(f"need 0 <= i <= n - k, got i={i}, n={n}, k={k}")
     if not 1 <= ell <= k + 1:
@@ -300,7 +290,7 @@ def best_window_for_chains(n: int, k: int, ell: int) -> tuple[int, tuple[int, ..
     Returns (count, positions) where positions lists each window start i
     attaining the maximum, in ascending order.
     """
-    _require_ints(n=n, k=k, ell=ell)
+    _require_ints(n=(n, None), k=(k, None), ell=(ell, None))
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= ell <= k + 1:

@@ -30,6 +30,7 @@ from .conditions import (
     load_custom_condition,
 )
 from .levelbounds import (
+    DEFAULT_NODE_BUDGET,
     SearchBudgetExceeded,
     best_ratio_window,
     erdos_bound,
@@ -248,7 +249,7 @@ def cmd_bound(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_chains(args: argparse.Namespace) -> RunReport:
-    from .chaincount import DEFAULT_NODE_BUDGET, count_chains_levels, optimal_levels_for_chains
+    from .chaincount import count_chains_levels, optimal_levels_for_chains
 
     cond = parse_condition(args.condition)
     inputs = _echo_inputs(args, condition=True, ell=True)
@@ -262,8 +263,7 @@ def cmd_chains(args: argparse.Namespace) -> RunReport:
             "allowed": allowed_levels(cond, levels),
         }
         return RunReport("chains", inputs, outputs, provenance="direct-count")
-    budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
-    result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=budget)
+    result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=args.budget)
     outputs = {
         "value": str(result.count),
         "witness": list(result.levels),
@@ -466,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     chains.add_argument(
         "--budget",
         type=_positive_int,
+        default=DEFAULT_NODE_BUDGET,
         help="search node budget for the optimizer",
     )
     _add_common_flags(chains, suppress=True)

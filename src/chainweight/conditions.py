@@ -28,17 +28,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_ints(**args: object) -> None:
+def _at_least(least: int) -> str:
+    # The one wording of a lower bound, for arguments and condition parameters.
+    if least == 0:
+        return "nonnegative"
+    return "a positive integer" if least == 1 else f"an integer >= {least}"
+
+
+def _require_ints(**args: tuple[object, int | None]) -> None:
+    # Each argument comes by name as (value, least); least None sets no bound.
     # Sizes are ints: a bool would count as 0 or 1, and a float fails deep inside.
-    for name, value in args.items():
+    for name, (value, least) in args.items():
         if not _is_int(value):
             raise TypeError(f"{name} must be an int, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be {_at_least(least)}, got {value!r}")
 
 
 def _check_param(name: str, value, least: int) -> None:
+    # Parameters come from files and the command line: a ValueError, exit 1.
     if not _is_int(value) or value < least:
-        what = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {_at_least(least)}, got {value!r}")
 
 
 class _Window(Record):
@@ -153,8 +163,11 @@ def forbidden_pair(cond: Condition, a: int, b: int) -> bool:
 
 
 def normalize_levels(levels: Iterable[int]) -> tuple[int, ...]:
-    """Sorted tuple of distinct nonnegative levels; rejects malformed input."""
-    out = tuple(sorted(levels))
+    """Sorted tuple of distinct nonnegative int levels; rejects malformed input."""
+    out = tuple(levels)
+    for h in out:
+        _require_ints(level=(h, None))
+    out = tuple(sorted(out))
     if out and out[0] < 0:
         raise ValueError(f"levels must be nonnegative, got {out}")
     for lo, hi in zip(out, out[1:]):
@@ -189,8 +202,7 @@ def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
     the optimizers query pairs in inner loops.  Custom tables are rarely asked
     twice, so each call compiles one straight from its checked pairs.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_ints(n=(n, 0))
     if not isinstance(cond, CustomPairwise):
         return _named_conflicts(cond, n)
     if n > cond.n:

@@ -46,7 +46,7 @@ COLUMN_PASS_MAX_STEP = 16
 
 
 def _check_n(n: int, what: str) -> None:
-    _require_ints(n=n)
+    _require_ints(n=(n, None))
     if not 0 <= n <= SATISFIES_MAX_N:
         raise ValueError(f"{what} needs 0 <= n <= {SATISFIES_MAX_N}, got n={n}")
 
@@ -90,7 +90,7 @@ class FamilyMask(Record):
 
     def __init__(self, n: int, bits: int) -> None:
         _check_n(n, "FamilyMask")
-        _require_ints(bits=bits)
+        _require_ints(bits=(bits, None))
         if bits < 0 or bits >> (1 << n):
             raise ValueError(f"indicator out of range for n={n}")
         self.__dict__["n"] = n
@@ -108,6 +108,7 @@ class FamilyMask(Record):
     def from_members(cls, n: int, members: Iterable[int]) -> "FamilyMask":
         bits = 0
         for mask in members:
+            _require_ints(member=(mask, None))
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"subset mask {mask} out of range for n={n}")
             bits |= 1 << mask
@@ -117,12 +118,12 @@ class FamilyMask(Record):
     def from_levels(cls, n: int, levels: Iterable[int]) -> "FamilyMask":
         """The union of the given full levels."""
         _check_n(n, "FamilyMask")
-        wanted = set(levels)
-        if any(not 0 <= h <= n for h in wanted):
-            raise ValueError(f"levels must lie in [0, {n}]")
         level = _masks(n)[1]
         bits = 0
-        for h in wanted:
+        for h in levels:
+            _require_ints(level=(h, None))
+            if not 0 <= h <= n:
+                raise ValueError(f"levels must lie in [0, {n}]")
             bits |= level[h]
         return cls(n, bits)
 
@@ -222,9 +223,7 @@ def _count_packed(n: int, ell: int) -> bool:
 
 def count_chains_family(family: FamilyMask, ell: int) -> int:
     """Number of ell-tuples of distinct members totally ordered by strict inclusion."""
-    _require_ints(ell=ell)
-    if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+    _require_ints(ell=(ell, 1))
     if ell == 1:
         return family.size()
     if ell > family.n + 1:
@@ -492,9 +491,7 @@ def max_chains_family(
         raise ValueError(
             f"max_chains_family is doubly exponential; n={n} needs accept_exponential=True"
         )
-    _require_ints(ell=ell)
-    if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+    _require_ints(ell=(ell, 1))
     _check_adjacency(n, "max_chains_family")
     # Compiled ahead of the early return too, so a condition that cannot
     # apply at n is refused either way.

@@ -48,19 +48,13 @@ class BoundResult:
 
 def sperner_bound(n: int) -> int:
     """Largest single binomial coefficient: C(n, floor(n/2))."""
-    _require_ints(n=n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_ints(n=(n, 0))
     return binomial(n, n // 2)
 
 
 def erdos_bound(n: int, k: int) -> int:
     """Sum of the k+1 largest binomial coefficients of order n."""
-    _require_ints(n=n, k=k)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _require_ints(n=(n, 0), k=(k, 1))
     # The window [lo, hi] of the k+1 middle levels, clipped to [0, n]: one
     # C(n, lo), then C(n, h+1) = C(n, h)(n-h)/(h+1) up to hi.
     lo = max((n - k) // 2, 0)
@@ -73,11 +67,7 @@ def erdos_bound(n: int, k: int) -> int:
 
 def katona_bound(n: int, k: int) -> int:
     """Sum of C(n, i) over levels i congruent to floor(n/2) mod k."""
-    _require_ints(n=n, k=k)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _require_ints(n=(n, 0), k=(k, 1))
     return sum(binomial_row(n)[n // 2 % k :: k])
 
 
@@ -88,11 +78,7 @@ def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
     n/2 + offset, with offset normalized into (-k/2, k/2].  Offsets are
     half-integers when n is odd.  Returned sorted by offset.
     """
-    _require_ints(n=n, k=k)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    _require_ints(n=(n, 0), k=(k, 2))
     half_n = Fraction(n, 2)
     row = binomial_row(n)
     out = []
@@ -107,7 +93,7 @@ def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
 
 def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
     """Sum of C(n, i) over integers i with k <= i < ratio * k."""
-    _require_ints(n=n, k=k)
+    _require_ints(n=(n, None), k=(k, None))
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     ratio = Fraction(ratio)
@@ -119,9 +105,7 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
 
 def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
     """Maximum of ratio_window_weight over k in [1, n], with the smallest argmax k."""
-    _require_ints(n=n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_ints(n=(n, 1))
     ratio = Fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
@@ -131,11 +115,7 @@ def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
 
 def integer_ratio_levels(n: int, c: int) -> tuple[int, ...]:
     """The level window {k+1, ..., c(k+1)-1} with k = floor(n / (c+1)), clipped to [0, n]."""
-    _require_ints(n=n, c=c)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if c < 2:
-        raise ValueError(f"c must be an integer >= 2, got {c}")
+    _require_ints(n=(n, 0), c=(c, 2))
     k = n // (c + 1)
     return tuple(range(k + 1, min(c * (k + 1) - 1, n) + 1))
 
@@ -151,9 +131,7 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
     weighs C(n, h) << (n + 1) | 1 << (n - h), whose low bits break ties
     towards the lexicographically smallest set and spell its levels.
     """
-    _require_ints(n=n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_ints(n=(n, 0))
     if isinstance(cond, Antichain):
         return _best_single_level(n)
     if isinstance(cond, ErdosWindow):

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -16,14 +17,24 @@ from chainweight import (
     KatonaGap,
     RatioLambda,
     allowed_levels,
+    best_ratio_window,
+    count_chains_family,
+    count_chains_levels,
+    erdos_bound,
     family_satisfies,
     forbidden_pair,
+    integer_ratio_levels,
     is_chain_dependent,
+    katona_bound,
     level_conflicts,
     load_custom_condition,
+    max_chains_family,
     max_family,
     optimal_levels_for_chains,
+    residue_class_weights,
     size_bound,
+    sperner_bound,
+    window_chain_count,
 )
 from chainweight.conditions import level_shape
 
@@ -410,3 +421,67 @@ def test_level_conflicts_cache_clear_empties_both_caches():
     level_conflicts(KatonaGap(2), 5)
     info = level_conflicts.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: size_bound(-1, Antichain()), "n must be nonnegative, got -1"),
+        (lambda: sperner_bound(-1), "n must be nonnegative, got -1"),
+        (lambda: erdos_bound(-1, 2), "n must be nonnegative, got -1"),
+        (lambda: erdos_bound(6, 0), "k must be a positive integer, got 0"),
+        (lambda: katona_bound(-2, 2), "n must be nonnegative, got -2"),
+        (lambda: katona_bound(6, -1), "k must be a positive integer, got -1"),
+        (lambda: residue_class_weights(-1, 3), "n must be nonnegative, got -1"),
+        (lambda: residue_class_weights(6, 1), "k must be an integer >= 2, got 1"),
+        (lambda: best_ratio_window(0, Fraction(3, 2)), "n must be a positive integer, got 0"),
+        (lambda: integer_ratio_levels(-1, 2), "n must be nonnegative, got -1"),
+        (lambda: integer_ratio_levels(6, 1), "c must be an integer >= 2, got 1"),
+        (lambda: count_chains_levels(-3, (), 2), "n must be nonnegative, got -3"),
+        (lambda: count_chains_levels(6, (1, 3), 0), "ell must be a positive integer, got 0"),
+        (lambda: optimal_levels_for_chains(-1, KatonaGap(2), 2), "n must be nonnegative, got -1"),
+        (lambda: optimal_levels_for_chains(6, Antichain(), 0), "ell must be a positive integer, got 0"),
+        (lambda: window_chain_count(6, -1, 1, 0), "k must be nonnegative, got -1"),
+        (lambda: count_chains_family(FamilyMask(2, 1), 0), "ell must be a positive integer, got 0"),
+        (lambda: max_chains_family(3, Antichain(), -1), "ell must be a positive integer, got -1"),
+        (lambda: level_conflicts(Antichain(), -1), "n must be nonnegative, got -1"),
+    ],
+)
+def test_lower_bounds_share_one_wording(call, message):
+    # Each integer argument's lower bound is checked with its type, in one
+    # helper, which words it as condition parameters are worded.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: level_conflicts(Antichain(), True), "n"),
+        (lambda: FamilyMask.from_levels(3, [True]), "level"),
+        (lambda: FamilyMask.from_levels(3, [1, 2.0]), "level"),
+        (lambda: FamilyMask.from_members(3, [True]), "member"),
+        (lambda: FamilyMask.from_members(3, [0, 1.0]), "member"),
+        (lambda: count_chains_levels(4, [True, 3], 2), "level"),
+        (lambda: count_chains_levels(4, [1.0, 3], 2), "level"),
+        (lambda: allowed_levels(KatonaGap(2), (0, "3")), "level"),
+        (lambda: allowed_levels(Antichain(), [False]), "level"),
+    ],
+)
+def test_level_and_member_items_must_be_ints(call, name):
+    # A bool item would stand for level or subset 0 or 1, and a float one
+    # fails deep inside; the items are refused by name, as sizes are.
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()
+
+
+def test_level_items_keep_their_range_messages():
+    with pytest.raises(ValueError, match=r"levels must be nonnegative, got \(-1, 3\)"):
+        count_chains_levels(6, (3, -1), 2)
+    with pytest.raises(ValueError, match=r"levels must be distinct, got \(3, 3\)"):
+        allowed_levels(KatonaGap(2), (3, 3))
+    with pytest.raises(ValueError, match=r"levels must lie in \[0, 3\]"):
+        FamilyMask.from_levels(3, [4])
+    with pytest.raises(ValueError, match="subset mask 8 out of range for n=3"):
+        FamilyMask.from_members(3, [8])
+    assert FamilyMask.from_levels(3, [1, 1]) == FamilyMask.from_levels(3, [1])
