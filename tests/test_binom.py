@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -115,3 +116,26 @@ def test_chain_weight_equals_multinomial_exhaustive():
         for t in range(1, n + 2):
             for sizes in combinations(range(n + 1), t):
                 assert chain_weight(n, sizes) == multinomial_weight(n, sizes)
+
+
+def test_row_memo_matches_binomial_row_interleaved():
+    # The memo levelbounds reads holds the last two rows as tuples; any order
+    # of calls must give the row binomial_row builds.
+    from chainweight.binom import _row
+
+    rng = random.Random(29)
+    ns = [*range(1001), *(rng.randint(0, 1000) for _ in range(1000))]
+    rng.shuffle(ns)
+    for n in ns:
+        row = _row(n)
+        assert type(row) is tuple and row == tuple(binomial_row(n)), n
+        assert _row.cache_info().currsize <= 2
+    assert _row.cache_parameters() == {"maxsize": 2, "typed": True}
+
+
+def test_binomial_row_is_a_fresh_list():
+    row = binomial_row(10)
+    row[5] = 0
+    row.append(7)
+    again = binomial_row(10)
+    assert type(again) is list and again == [math.comb(10, k) for k in range(11)]

@@ -690,6 +690,8 @@ def test_single_chains_match_size_bound(cond, monkeypatch):
     # At ell = 1 the chain count of a level set is its weight, so the answer
     # is size_bound's value and witness, taken before any search or conflict
     # compile of its own; a custom table is still refused past its range.
+    # size_bound's custom search spends the node budget, so a budget of 0
+    # stops it at its root, while the named optimizers spend none.
     forbid_search(monkeypatch)
 
     def no_compile(*args):
@@ -699,7 +701,12 @@ def test_single_chains_match_size_bound(cond, monkeypatch):
     custom = isinstance(cond, CustomPairwise)
     for n in (cond.n,) if custom else (*range(41), 60, 100, 120):
         expected = size_bound(n, cond)
-        result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
+        if custom:
+            with pytest.raises(SearchBudgetExceeded):
+                optimal_levels_for_chains(n, cond, 1, node_budget=0)
+            result = optimal_levels_for_chains(n, cond, 1)
+        else:
+            result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
         assert (result.count, result.levels) == (expected.value, expected.witness), n
     if custom:
         with pytest.raises(ValueError, match="exceeds the table range"):
@@ -710,7 +717,7 @@ def test_windows_and_single_chains_run_no_search(monkeypatch):
     # Antichain, ErdosWindow and the ratio conditions at ell >= 2, and every
     # condition type at ell = 1, are answered without the level search: its
     # bound, first-layer table and include raise here, and a node budget of 0
-    # is not spent.
+    # is not spent, except by size_bound's own custom search at ell = 1.
     forbid_search(monkeypatch)
     for cond in (c for c in NAMED_CONDITIONS if not isinstance(c, KatonaGap)):
         for n in (*range(41), 60, 100, 120):
@@ -726,7 +733,12 @@ def test_windows_and_single_chains_run_no_search(monkeypatch):
     for cond in (*NAMED_CONDITIONS, table):
         for n in (0, 1, 7, 20):
             expected = size_bound(n, cond)
-            result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
+            if cond is table:
+                with pytest.raises(SearchBudgetExceeded):
+                    optimal_levels_for_chains(n, cond, 1, node_budget=0)
+                result = optimal_levels_for_chains(n, cond, 1)
+            else:
+                result = optimal_levels_for_chains(n, cond, 1, node_budget=0)
             assert (result.count, result.levels) == (expected.value, expected.witness), (cond, n)
 
 

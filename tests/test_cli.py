@@ -156,6 +156,21 @@ def test_bound_budget_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
 
 
+def test_single_chains_spend_the_budget_on_custom_tables(tmp_path, capsys):
+    # At ell = 1 the chain optimum is size_bound's custom search, which
+    # takes 1,501 nodes on one forbidden pair at n = 1500: --budget holds it.
+    table = tmp_path / "pair.json"
+    table.write_text('{"n": 1500, "forbidden": [[0, 1]]}', encoding="utf-8")
+    argv = ["--format", "json", "chains", "--n", "1500", "--condition", f"custom:file={table}", "--ell", "1"]
+    assert main([*argv, "--budget", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "budget exceeded" in out.err
+    assert main([*argv, "--budget", "1501"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["value"] == str(2**1500 - 1)
+    assert outputs["witness"] == list(range(1, 1501))
+
+
 def test_verify_command():
     result = run_cli("--format", "json", "verify", "--n", "6", "--condition", "katona:k=3")
     report = json.loads(result.stdout)

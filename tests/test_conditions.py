@@ -445,6 +445,7 @@ def test_level_conflicts_cache_clear_empties_both_caches():
         (lambda: count_chains_family(FamilyMask(2, 1), 0), "ell must be a positive integer, got 0"),
         (lambda: max_chains_family(3, Antichain(), -1), "ell must be a positive integer, got -1"),
         (lambda: level_conflicts(Antichain(), -1), "n must be nonnegative, got -1"),
+        (lambda: CustomPairwise(-1, ()), "n must be nonnegative, got -1"),
     ],
 )
 def test_lower_bounds_share_one_wording(call, message):
@@ -452,6 +453,18 @@ def test_lower_bounds_share_one_wording(call, message):
     # helper, which words it as condition parameters are worded.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [(KatonaGap, "k"), (ErdosWindow, "k"), (IntegerRatio, "c"), (lambda n: CustomPairwise(n, ()), "n")],
+)
+def test_parameters_refuse_non_integers_as_such(make, name):
+    # A JSON true or a float is refused for its type, not worded as a value
+    # below the parameter's lower bound.
+    for bad in (True, False, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            make(bad)
 
 
 @pytest.mark.parametrize(

@@ -659,3 +659,86 @@ def test_custom_search_stops_at_the_root_bound(monkeypatch):
     monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", 5)
     with pytest.raises(SearchBudgetExceeded):
         size_bound(40, random_table(40, 0.3, 0))
+
+
+class _MasksTaken(Exception):
+    pass
+
+
+def heaviest_first_masks(n, cond, monkeypatch):
+    # The conflict masks size_bound hands its search, taken before it runs.
+    taken = []
+
+    def take(n, conflicts, *args):
+        taken.append(conflicts)
+        raise _MasksTaken
+
+    monkeypatch.setattr(levelbounds, "_search_levels", take)
+    with pytest.raises(_MasksTaken):
+        size_bound(n, cond)
+    return taken[0]
+
+
+def reference_table_masks(n, cond):
+    # The table's masks in level order, as level_conflicts compiled them
+    # before it shared size_bound's pass.
+    conflicts = [0] * (n + 1)
+    for a, b in cond.forbidden:
+        if b <= n:
+            conflicts[a] |= 1 << b
+            conflicts[b] |= 1 << a
+    return conflicts
+
+
+def reference_heaviest_first_masks(n, cond):
+    # The level-order masks permuted into the heaviest-first labels through
+    # each mask's binary digits, as the custom size_bound compiled them before.
+    conflicts = reference_table_masks(n, cond)
+    weight = [c << (n + 1) | 1 << (n - h) for h, c in enumerate(binomial_row(n))]
+    order = sorted(range(n + 1), key=weight.__getitem__, reverse=True)
+    digits = itemgetter(*[n - h for h in reversed(order)])
+    return [int("".join(digits(format(conflicts[h], f"0{n + 1}b"))), 2) for h in order]
+
+
+def test_custom_masks_compile_straight_into_search_order(monkeypatch):
+    rng = random.Random(2029)
+    for _ in range(150):
+        table_n = rng.randint(0, 120)
+        cond = random_table(table_n, rng.choice((0.02, 0.05, 0.1, 0.3, 0.6)), rng.getrandbits(32))
+        for n in {table_n, rng.randint(0, table_n), table_n // 2}:
+            expected = reference_heaviest_first_masks(n, cond)
+            assert heaviest_first_masks(n, cond, monkeypatch) == expected, (table_n, n)
+            assert level_conflicts(cond, n) == tuple(reference_table_masks(n, cond)), (table_n, n)
+        message = f"^size {table_n + 1} exceeds the table range n={table_n}$"
+        with pytest.raises(ValueError, match=message):
+            size_bound(table_n + 1, cond)
+        with pytest.raises(ValueError, match=message):
+            level_conflicts(cond, table_n + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 513, 800])
+def test_optimizer_and_closed_form_share_one_row(n, monkeypatch):
+    # size_bound and the closed form checked against it at the same n, as
+    # the bound command runs them, build one binomial row between them.
+    from chainweight import binom
+
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return binomial_row(m)
+
+    monkeypatch.setattr(binom, "binomial_row", counted)
+    monkeypatch.setattr(levelbounds, "binomial_row", counted, raising=False)
+    pairs = [
+        (KatonaGap(3), lambda: katona_bound(n, 3)),
+        (RatioLambda(Fraction(3, 2)), lambda: best_ratio_window(n, Fraction(3, 2)) if n else None),
+        (IntegerRatio(2), lambda: best_ratio_window(n, Fraction(2)) if n else None),
+    ]
+    for cond, closed_form in pairs:
+        binom._row.cache_clear()
+        built.clear()
+        size_bound(n, cond)
+        closed_form()
+        assert built == [n], cond
+    binom._row.cache_clear()
