@@ -47,18 +47,11 @@ EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
 THREADS_ENV_VAR = "CHAINWEIGHT_THREADS"
+MISMATCH = "verification mismatch"
 
 
 class UsageError(ValueError):
     """Bad command-line input; maps to exit code 1."""
-
-
-class MismatchReport(Exception):
-    """Carries a finished report whose checks failed; maps to exit code 2."""
-
-    def __init__(self, report: RunReport, message: str = "verification mismatch"):
-        super().__init__(message)
-        self.report = report
 
 
 # The condition grammar: name -> (condition type, parameter key).  The
@@ -145,18 +138,10 @@ class RunReport(Record):
         self.__dict__["outputs"] = outputs
         self.__dict__["provenance"] = provenance
 
-    def to_dict(self, timing_ms: float) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "provenance": self.provenance,
-            "timing_ms": timing_ms,
-        }
-
     def render(self, fmt: str, timing_ms: float) -> str:
         if fmt == "json":
-            return json.dumps(self.to_dict(timing_ms), sort_keys=True, separators=(",", ":"))
+            record = dict(self.__dict__, timing_ms=timing_ms)
+            return json.dumps(record, sort_keys=True, separators=(",", ":"))
         if fmt == "csv":
             rows = [("command", self.command)]
             rows.extend(_flatten("inputs", self.inputs))
@@ -224,7 +209,7 @@ def _closed_form_value(n: int, cond: Condition) -> int | None:
     return None
 
 
-def cmd_bound(args: argparse.Namespace) -> RunReport:
+def cmd_bound(args: argparse.Namespace) -> tuple[RunReport, str | None]:
     cond = parse_condition(args.condition)
     result = size_bound(args.n, cond)
     outputs = {
@@ -242,13 +227,11 @@ def cmd_bound(args: argparse.Namespace) -> RunReport:
         provenance=result.method,
     )
     if closed is not None and closed != result.value:
-        raise MismatchReport(
-            report, f"internal inconsistency: optimizer {result.value} != closed form {closed}"
-        )
-    return report
+        return report, f"internal inconsistency: optimizer {result.value} != closed form {closed}"
+    return report, None
 
 
-def cmd_chains(args: argparse.Namespace) -> RunReport:
+def cmd_chains(args: argparse.Namespace) -> tuple[RunReport, str | None]:
     from .chaincount import count_chains_levels, optimal_levels_for_chains
 
     cond = parse_condition(args.condition)
@@ -262,16 +245,16 @@ def cmd_chains(args: argparse.Namespace) -> RunReport:
             "witness": sorted(levels),
             "allowed": allowed_levels(cond, levels),
         }
-        return RunReport("chains", inputs, outputs, provenance="direct-count")
+        return RunReport("chains", inputs, outputs, provenance="direct-count"), None
     result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=args.budget)
     outputs = {
         "value": str(result.count),
         "witness": list(result.levels),
     }
-    return RunReport("chains", inputs, outputs, provenance="enumeration")
+    return RunReport("chains", inputs, outputs, provenance="enumeration"), None
 
 
-def cmd_verify(args: argparse.Namespace) -> RunReport:
+def cmd_verify(args: argparse.Namespace) -> tuple[RunReport, str | None]:
     """Check size_bound (and, with --ell, the chain optimum) against brute force.
 
     Every pairwise size condition, custom tables included, is
@@ -311,8 +294,8 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
             outputs["chain_count"] = str(count_chains_family(family, args.ell))
         report = RunReport("verify", inputs, outputs, provenance="family-check")
         if not outputs["within_bound"]:
-            raise MismatchReport(report, "family satisfies the condition but exceeds the bound")
-        return report
+            return report, "family satisfies the condition but exceeds the bound"
+        return report, None
 
     if args.n > OPTIMIZE_MAX_N and not args.accept_exponential:
         raise UsageError(
@@ -342,8 +325,8 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
         outputs["chains_equal"] = chain_opt.count == chain_brute
     report = RunReport("verify", inputs, outputs, provenance="brute-force")
     if not (outputs["equal"] and outputs.get("chains_equal", True)):
-        raise MismatchReport(report)
-    return report
+        return report, MISMATCH
+    return report, None
 
 
 def _reproduction_rows() -> list[dict]:
@@ -393,7 +376,7 @@ def _reproduction_rows() -> list[dict]:
     return rows
 
 
-def cmd_reproduce(args: argparse.Namespace) -> RunReport:
+def cmd_reproduce(args: argparse.Namespace) -> tuple[RunReport, str | None]:
     rows = _reproduction_rows()
     outputs = {"rows": rows, "all_pass": all(row["pass"] for row in rows)}
     report = RunReport(
@@ -403,8 +386,8 @@ def cmd_reproduce(args: argparse.Namespace) -> RunReport:
         provenance="fixed-suite",
     )
     if not outputs["all_pass"]:
-        raise MismatchReport(report)
-    return report
+        return report, MISMATCH
+    return report, None
 
 
 def _echo_inputs(args: argparse.Namespace, *, condition: bool = False, ell: bool = False) -> dict:
@@ -422,40 +405,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
-    # The common flags live on the main parser with real defaults and on each
-    # subparser with SUPPRESS defaults, so they parse on either side of the
-    # subcommand without the subparser default clobbering an earlier value.
-    try:
-        default_threads = _positive_int(os.environ.get(THREADS_ENV_VAR, "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{THREADS_ENV_VAR} {exc}") from None
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # The common flags live on the main parser and on each subparser with
+    # SUPPRESS defaults, so they parse on either side of the subcommand without
+    # a subparser default clobbering an earlier value; only the main parser
+    # holds their real defaults.
     parser.add_argument(
         "--threads",
         type=_positive_int,
-        default=argparse.SUPPRESS if suppress else default_threads,
+        default=argparse.SUPPRESS,
         help="reserved: validated, but no search reads it yet (results are independent of it)",
     )
     parser.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default=argparse.SUPPRESS if suppress else "text",
-        help="output format",
+        "--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS, help="output format"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    try:
+        threads = _positive_int(os.environ.get(THREADS_ENV_VAR, "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{THREADS_ENV_VAR} {exc}") from None
     parser = _Parser(
         prog="chainweight",
         description="Exact bounds and ell-chain optimization for nested-pair size conditions",
     )
-    _add_common_flags(parser, suppress=False)
+    _add_common_flags(parser)
+    parser.set_defaults(threads=threads, format="text")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     bound = sub.add_parser("bound", help="largest weight of an allowed level set")
     bound.add_argument("--n", type=_parse_int, required=True)
     bound.add_argument("--condition", required=True)
-    _add_common_flags(bound, suppress=True)
+    _add_common_flags(bound)
     bound.set_defaults(func=cmd_bound)
 
     chains = sub.add_parser("chains", help="count or maximize ell-chains over level sets")
@@ -469,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NODE_BUDGET,
         help="search node budget for the optimizer",
     )
-    _add_common_flags(chains, suppress=True)
+    _add_common_flags(chains)
     chains.set_defaults(func=cmd_chains)
 
     verify = sub.add_parser("verify", help="certify bounds against brute force")
@@ -482,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lift the brute-force size caps",
     )
-    _add_common_flags(verify, suppress=True)
+    _add_common_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
     reproduce = sub.add_parser("reproduce", help="run the fixed witness suite")
-    _add_common_flags(reproduce, suppress=True)
+    _add_common_flags(reproduce)
     reproduce.set_defaults(func=cmd_reproduce)
 
     return parser
@@ -495,26 +477,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    start = time.perf_counter()
-    try:
-        report = args.func(args)
+        start = time.perf_counter()
+        report, reason = args.func(args)
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MismatchReport as exc:
-        timing_ms = round((time.perf_counter() - start) * 1000, 3)
-        print(exc.report.render(args.format, timing_ms))
-        print(exc, file=sys.stderr)
-        return EXIT_MISMATCH
     timing_ms = round((time.perf_counter() - start) * 1000, 3)
     print(report.render(args.format, timing_ms))
-    return EXIT_OK
+    if reason is None:
+        return EXIT_OK
+    print(reason, file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -521,3 +521,53 @@ def test_bound_internal_inconsistency_exits_2(monkeypatch, capsys):
     code = cli.main(["bound", "--n", "4", "--condition", "antichain"])
     assert code == 2
     assert "inconsistency" in capsys.readouterr().err
+
+
+def test_reproduce_mismatch_exits_2(monkeypatch, capsys):
+    import chainweight.cli as cli
+
+    row = {"name": "a failing witness", "expected": "1", "actual": "2", "pass": False}
+    monkeypatch.setattr(cli, "_reproduction_rows", lambda: [row])
+    assert cli.main(["--format", "json", "reproduce"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["outputs"]["all_pass"] is False
+    assert "verification mismatch" in captured.err
+
+
+@pytest.mark.parametrize(
+    "before, after, threads, fmt",
+    [
+        ([], [], 5, "text"),
+        (["--threads", "2"], [], 2, "text"),
+        ([], ["--threads", "3"], 3, "text"),
+        (["--threads", "2"], ["--threads", "3"], 3, "text"),
+        (["--format", "csv"], ["--format", "json"], 5, "json"),
+    ],
+    ids=["defaults", "threads-before", "threads-after", "threads-both", "format-both"],
+)
+def test_common_flags_parse_on_either_side_of_the_subcommand(
+    before, after, threads, fmt, capsys, monkeypatch
+):
+    # A subparser must neither overwrite a value given before the subcommand
+    # with its own default nor lose one given after it.
+    monkeypatch.setenv("CHAINWEIGHT_THREADS", "5")
+    assert main([*before, "bound", "--n", "4", "--condition", "antichain", *after]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["inputs"]["threads"] == threads
+    else:
+        assert out.startswith("command: bound\n")
+        assert f"\nthreads: {threads}\n" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["bound"], ["chains"], ["verify"], ["reproduce"]],
+                         ids=["main", "bound", "chains", "verify", "reproduce"])
+def test_help_lists_the_common_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--threads THREADS" in out
+    assert "--format {json,csv,text}" in out
