@@ -39,7 +39,6 @@ from .levelbounds import (
     size_bound,
     sperner_bound,
 )
-from .record import Record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,50 +112,32 @@ def _parse_ratio(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts; rejects anything but an integer >= 1."""
-    try:
-        value = _parse_int(text)
-    except argparse.ArgumentTypeError:
-        value = 0
-    if value < 1:
+    """argparse type for counts: the integer syntax above, value >= 1."""
+    if re.fullmatch("0*[1-9][0-9]*", text) is None:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got '{text}'")
-    return value
+    return int(text)
 
 
-class RunReport(Record):
-    """Self-describing result record; identical inputs reproduce identical outputs.
-
-    The command's wall time is not part of the record: `main` measures it
-    and passes it to `render`.
-    """
-
-    _fields = ("command", "inputs", "outputs", "provenance")
-
-    def __init__(self, command: str, inputs: dict, outputs: dict, provenance: str) -> None:
-        self.__dict__["command"] = command
-        self.__dict__["inputs"] = inputs
-        self.__dict__["outputs"] = outputs
-        self.__dict__["provenance"] = provenance
-
-    def render(self, fmt: str, timing_ms: float) -> str:
-        if fmt == "json":
-            record = dict(self.__dict__, timing_ms=timing_ms)
-            return json.dumps(record, sort_keys=True, separators=(",", ":"))
-        if fmt == "csv":
-            rows = [("command", self.command)]
-            rows.extend(_flatten("inputs", self.inputs))
-            rows.extend(_flatten("outputs", self.outputs))
-            rows.append(("provenance", self.provenance))
-            rows.append(("timing_ms", _plain(timing_ms)))
-            return "key,value\n" + "\n".join(f"{k},{_csv_cell(v)}" for k, v in rows)
-        if fmt == "text":
-            lines = [f"command: {self.command}"]
-            lines.extend(f"{k}: {v}" for k, v in _flatten("", self.inputs))
-            lines.extend(f"{k}: {v}" for k, v in _flatten("", self.outputs))
-            lines.append(f"provenance: {self.provenance}")
-            lines.append(f"timing_ms: {timing_ms}")
-            return "\n".join(lines)
-        raise UsageError(f"unknown format '{fmt}'")
+def _render(report: dict, fmt: str, timing_ms: float) -> str:
+    """Render a command's report (command, inputs, outputs, provenance); the
+    command's wall time is not part of it, `main` measures and passes it."""
+    if fmt == "json":
+        return json.dumps(dict(report, timing_ms=timing_ms), sort_keys=True, separators=(",", ":"))
+    if fmt == "csv":
+        rows = [("command", report["command"])]
+        rows.extend(_flatten("inputs", report["inputs"]))
+        rows.extend(_flatten("outputs", report["outputs"]))
+        rows.append(("provenance", report["provenance"]))
+        rows.append(("timing_ms", _plain(timing_ms)))
+        return "key,value\n" + "\n".join(f"{k},{_csv_cell(v)}" for k, v in rows)
+    if fmt == "text":
+        lines = [f"command: {report['command']}"]
+        lines.extend(f"{k}: {v}" for k, v in _flatten("", report["inputs"]))
+        lines.extend(f"{k}: {v}" for k, v in _flatten("", report["outputs"]))
+        lines.append(f"provenance: {report['provenance']}")
+        lines.append(f"timing_ms: {timing_ms}")
+        return "\n".join(lines)
+    raise UsageError(f"unknown format '{fmt}'")
 
 
 def _flatten(prefix: str, value) -> list[tuple[str, str]]:
@@ -189,12 +170,11 @@ def _csv_cell(text: str) -> str:
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(_parse_int(part) for part in text.split(","))
-    except argparse.ArgumentTypeError:
+    if re.fullmatch("-?[0-9]+(,-?[0-9]+)*", text) is None:
         raise UsageError(
             f"levels must be comma-separated integers with no empty items, got '{text}'"
-        ) from None
+        )
+    return tuple(map(int, text.split(",")))
 
 
 def _closed_form_value(n: int, cond: Condition) -> int | None:
@@ -209,7 +189,7 @@ def _closed_form_value(n: int, cond: Condition) -> int | None:
     return None
 
 
-def cmd_bound(args: argparse.Namespace) -> tuple[RunReport, str | None]:
+def cmd_bound(args: argparse.Namespace) -> tuple[dict, str | None]:
     cond = parse_condition(args.condition)
     result = size_bound(args.n, cond)
     outputs = {
@@ -220,22 +200,19 @@ def cmd_bound(args: argparse.Namespace) -> tuple[RunReport, str | None]:
     if closed is not None:
         outputs["closed_form"] = str(closed)
         outputs["closed_form_equal"] = closed == result.value
-    report = RunReport(
-        command="bound",
-        inputs=_echo_inputs(args, condition=True),
-        outputs=outputs,
-        provenance=result.method,
+    report = dict(
+        command="bound", inputs=_echo_inputs(args), outputs=outputs, provenance=result.method
     )
     if closed is not None and closed != result.value:
         return report, f"internal inconsistency: optimizer {result.value} != closed form {closed}"
     return report, None
 
 
-def cmd_chains(args: argparse.Namespace) -> tuple[RunReport, str | None]:
+def cmd_chains(args: argparse.Namespace) -> tuple[dict, str | None]:
     from .chaincount import count_chains_levels, optimal_levels_for_chains
 
     cond = parse_condition(args.condition)
-    inputs = _echo_inputs(args, condition=True, ell=True)
+    inputs = _echo_inputs(args, ell=True)
     if args.levels is not None:
         levels = _parse_levels(args.levels)
         inputs["levels"] = list(levels)
@@ -245,16 +222,17 @@ def cmd_chains(args: argparse.Namespace) -> tuple[RunReport, str | None]:
             "witness": sorted(levels),
             "allowed": allowed_levels(cond, levels),
         }
-        return RunReport("chains", inputs, outputs, provenance="direct-count"), None
+        report = dict(command="chains", inputs=inputs, outputs=outputs, provenance="direct-count")
+        return report, None
     result = optimal_levels_for_chains(args.n, cond, args.ell, node_budget=args.budget)
     outputs = {
         "value": str(result.count),
         "witness": list(result.levels),
     }
-    return RunReport("chains", inputs, outputs, provenance="enumeration"), None
+    return dict(command="chains", inputs=inputs, outputs=outputs, provenance="enumeration"), None
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[RunReport, str | None]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, str | None]:
     """Check size_bound (and, with --ell, the chain optimum) against brute force.
 
     Every pairwise size condition, custom tables included, is
@@ -275,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[RunReport, str | None]:
     )
 
     cond = parse_condition(args.condition)
-    inputs = _echo_inputs(args, condition=True)
+    inputs = _echo_inputs(args)
     if args.ell is not None:
         inputs["ell"] = args.ell
 
@@ -292,7 +270,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[RunReport, str | None]:
         }
         if args.ell is not None:
             outputs["chain_count"] = str(count_chains_family(family, args.ell))
-        report = RunReport("verify", inputs, outputs, provenance="family-check")
+        report = dict(command="verify", inputs=inputs, outputs=outputs, provenance="family-check")
         if not outputs["within_bound"]:
             return report, "family satisfies the condition but exceeds the bound"
         return report, None
@@ -323,7 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[RunReport, str | None]:
         outputs["chains_bound"] = str(chain_opt.count)
         outputs["chains_brute"] = str(chain_brute)
         outputs["chains_equal"] = chain_opt.count == chain_brute
-    report = RunReport("verify", inputs, outputs, provenance="brute-force")
+    report = dict(command="verify", inputs=inputs, outputs=outputs, provenance="brute-force")
     if not (outputs["equal"] and outputs.get("chains_equal", True)):
         return report, MISMATCH
     return report, None
@@ -376,24 +354,18 @@ def _reproduction_rows() -> list[dict]:
     return rows
 
 
-def cmd_reproduce(args: argparse.Namespace) -> tuple[RunReport, str | None]:
+def cmd_reproduce(args: argparse.Namespace) -> tuple[dict, str | None]:
     rows = _reproduction_rows()
     outputs = {"rows": rows, "all_pass": all(row["pass"] for row in rows)}
-    report = RunReport(
-        command="reproduce",
-        inputs={"threads": args.threads},
-        outputs=outputs,
-        provenance="fixed-suite",
-    )
+    inputs = {"threads": args.threads}
+    report = dict(command="reproduce", inputs=inputs, outputs=outputs, provenance="fixed-suite")
     if not outputs["all_pass"]:
         return report, MISMATCH
     return report, None
 
 
-def _echo_inputs(args: argparse.Namespace, *, condition: bool = False, ell: bool = False) -> dict:
-    inputs: dict = {"n": args.n}
-    if condition:
-        inputs["condition"] = args.condition
+def _echo_inputs(args: argparse.Namespace, *, ell: bool = False) -> dict:
+    inputs: dict = {"n": args.n, "condition": args.condition}
     if ell:
         inputs["ell"] = args.ell
     inputs["threads"] = args.threads
@@ -433,16 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(parser)
     parser.set_defaults(threads=threads, format="text")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
     bound = sub.add_parser("bound", help="largest weight of an allowed level set")
-    bound.add_argument("--n", type=_parse_int, required=True)
-    bound.add_argument("--condition", required=True)
-    _add_common_flags(bound)
-    bound.set_defaults(func=cmd_bound)
-
     chains = sub.add_parser("chains", help="count or maximize ell-chains over level sets")
-    chains.add_argument("--n", type=_parse_int, required=True)
-    chains.add_argument("--condition", required=True)
+    verify = sub.add_parser("verify", help="certify bounds against brute force")
+    reproduce = sub.add_parser("reproduce", help="run the fixed witness suite")
+    for command in (bound, chains, verify):
+        command.add_argument("--n", type=_parse_int, required=True)
+        command.add_argument("--condition", required=True)
+
     chains.add_argument("--ell", type=_positive_int, required=True)
     chains.add_argument("--levels", help="comma-separated levels; omit to optimize")
     chains.add_argument(
@@ -451,12 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NODE_BUDGET,
         help="search node budget for the optimizer",
     )
-    _add_common_flags(chains)
-    chains.set_defaults(func=cmd_chains)
-
-    verify = sub.add_parser("verify", help="certify bounds against brute force")
-    verify.add_argument("--n", type=_parse_int, required=True)
-    verify.add_argument("--condition", required=True)
     verify.add_argument("--ell", type=_positive_int)
     verify.add_argument("--family", help="ad-hoc family as a hex indicator string")
     verify.add_argument(
@@ -464,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lift the brute-force size caps",
     )
-    _add_common_flags(verify)
-    verify.set_defaults(func=cmd_verify)
 
-    reproduce = sub.add_parser("reproduce", help="run the fixed witness suite")
-    _add_common_flags(reproduce)
-    reproduce.set_defaults(func=cmd_reproduce)
-
+    funcs = (cmd_bound, cmd_chains, cmd_verify, cmd_reproduce)
+    for command, func in zip((bound, chains, verify, reproduce), funcs):
+        _add_common_flags(command)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -486,7 +448,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     timing_ms = round((time.perf_counter() - start) * 1000, 3)
-    print(report.render(args.format, timing_ms))
+    try:
+        print(_render(report, args.format, timing_ms), flush=True)
+    except BrokenPipeError:
+        # The reader has gone: send the rest of stdout, and the flush at exit,
+        # to devnull, and still end with the command's own verdict.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if reason is None:
         return EXIT_OK
     print(reason, file=sys.stderr)

@@ -571,3 +571,85 @@ def test_help_lists_the_common_flags(argv, capsys):
     out = capsys.readouterr().out
     assert "--threads THREADS" in out
     assert "--format {json,csv,text}" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce"], ["bound", "--n", "6", "--condition", "antichain"]],
+    ids=["reproduce", "bound"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # A reader that goes away before the report is written (`chainweight
+    # reproduce | true`) is not a usage error: no traceback, and the command's
+    # own exit code.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chainweight", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def _integer_argv(flag, text):
+    chains = ["chains", "--n", "12", "--condition", "katona:k=3"]
+    if flag == "--ell":
+        return [*chains, "--ell", text, "--levels", "1,4"]
+    if flag == "--budget":
+        return [*chains, "--ell", "2", "--levels", "1,4", "--budget", text]
+    if flag == "--levels":
+        return [*chains, "--ell", "2", "--levels", text]
+    if flag == "--threads":
+        return ["--threads", text, "bound", "--n", "4", "--condition", "antichain"]
+    return ["bound", "--n", "4", "--condition", "antichain"]
+
+
+COUNT_FLAGS = ("--ell", "--budget", "--threads", "CHAINWEIGHT_THREADS")
+NOT_INTEGERS = ["+5", " 5", "5 ", "1_0", "\u0663", "2.0", ""]
+ACCEPTED = ["1", "7", "007", "10"]
+REFUSED_COUNTS = ["0", "00", "-0", "-1", *NOT_INTEGERS]
+REFUSED_LEVELS = [*NOT_INTEGERS, "1,,2", "1,", ",1"]
+
+
+@pytest.mark.parametrize(
+    "flag, text, accepted",
+    [
+        *((flag, text, True) for flag in (*COUNT_FLAGS, "--levels") for text in ACCEPTED),
+        ("--levels", "0,3,-1", True),
+        *((flag, text, False) for flag in COUNT_FLAGS for text in REFUSED_COUNTS),
+        *(("--levels", text, False) for text in REFUSED_LEVELS),
+    ],
+)
+def test_integer_spellings(flag, text, accepted, capsys, monkeypatch):
+    # Counts take 0*[1-9][0-9]* and levels -?[0-9]+(,-?[0-9]+)*: ASCII digits,
+    # no plus sign, spaces, underscores or empty items.
+    if flag == "CHAINWEIGHT_THREADS":
+        monkeypatch.setenv(flag, text)
+    code = main(["--format", "json", *_integer_argv(flag, text)])
+    out, err = capsys.readouterr()
+    if not accepted:
+        assert code == 1
+        assert out == ""
+        if flag == "--levels":
+            message = f"levels must be comma-separated integers with no empty items, got '{text}'"
+        elif flag == "CHAINWEIGHT_THREADS":
+            message = f"CHAINWEIGHT_THREADS must be a positive integer, got '{text}'"
+        else:
+            message = f"argument {flag}: must be a positive integer, got '{text}'"
+        assert err == f"error: {message}\n"
+    elif text == "0,3,-1":
+        # The spelling parses; the library refuses the negative level.
+        assert code == 1
+        assert err == "error: levels must be nonnegative, got (-1, 0, 3)\n"
+    else:
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        if flag == "--levels":
+            assert inputs["levels"] == [int(text)]
+        elif flag == "--ell":
+            assert inputs["ell"] == int(text)
+        elif flag != "--budget":
+            assert inputs["threads"] == int(text)
