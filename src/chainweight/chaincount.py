@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 # binomial and SearchBudgetExceeded are not used here; they stay bound
@@ -110,15 +110,24 @@ def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int
     # so an ell-chain is a pair A_1 <= A_ell of sizes a <= b with an ordered
     # partition of A_ell - A_1 into r = ell - 1 nonempty blocks:
     #   count([m, t]) = sum over m <= a <= b <= t of C(n, b) C(b, a) surj(b - a, r).
-    # The scan slides [m, t].  Dropping level a subtracts the terms with that
-    # a, C(n, a) C(n - a, d) surj(d, r) with d = b - a (as C(n, b) C(b, a) =
-    # C(n, a) C(n - a, b - a)); raising t adds the terms b = t,
-    # C(n, t) C(t, d) surj(d, r) with d = t - a.  Each sum skips the d with
-    # surj(d, r) = 0 (d < r, or d > 0 = r), stepping C(., d) multiplicatively.
+    # The scan slides [m, t]: dropping level a subtracts C(n, a) S(n - a, t - a),
+    # as C(n, b) C(b, a) = C(n, a) C(n - a, b - a), and raising t adds
+    # C(n, t) S(t, t - m).
     stop = tops.index(n)
     width = max(t - m for m, t in enumerate(tops[: stop + 1]))
     r = ell - 1
     surj = _surjections(width, r)
+
+    def S(big: int, depth: int) -> int:
+        # Sum over d = r..depth of C(big, d) surj(d, r), skipping the d with
+        # surj(d, r) = 0 (d < r, or d > 0 = r) and stepping C(big, d).
+        c = math.comb(big, r)
+        terms = 0
+        for d in range(r, (depth if r else 0) + 1):
+            terms += c * surj[d]
+            c = c * (big - d) // (d + 1)
+        return terms
+
     top = binomial_row(n)
     best_count = -1
     starts: list[int] = []
@@ -126,21 +135,10 @@ def _best_windows(n: int, tops: Sequence[int], ell: int) -> tuple[int, tuple[int
     t = -1
     for m in range(stop + 1):
         if m:
-            a = m - 1
-            c = math.comb(n - a, r)
-            terms = 0
-            for d in range(r, (t - a if r else 0) + 1):
-                terms += c * surj[d]
-                c = c * (n - a - d) // (d + 1)
-            count -= top[a] * terms
+            count -= top[m - 1] * S(n - m + 1, t - m + 1)
         while t < tops[m]:
             t += 1
-            c = math.comb(t, r)
-            terms = 0
-            for d in range(r, (t - m if r else 0) + 1):
-                terms += c * surj[d]
-                c = c * (t - d) // (d + 1)
-            count += top[t] * terms
+            count += top[t] * S(t, t - m)
         if count > best_count:
             best_count = count
             starts = [m]
@@ -229,7 +227,9 @@ def _gap_bound(
     Its conflict graph is a unit interval graph, so relax is exact: the last
     value of the gap recurrence f(i) = max(f(i - 1), w[i] + f(i - k)) over
     [lo, b - k], the levels of [lo, n] below b that do not conflict with b.
-    U_2 comes from the table first; each later U_j(b) takes one such pass.
+    U_2(b) adds first[b][lo], entry lo of the first layer's column b, for
+    b >= lo + k (a lower b has no compatible level in the run); each later
+    U_j(b) takes one such pass.
     The KatonaGap searches keep avail that run (including lo removes a run
     above it, excluding lo removes lo); a run holding avail stays admissible.
 
@@ -244,7 +244,7 @@ def _gap_bound(
     """
     n = len(rows) - 1
     lo = (avail & -avail).bit_length() - 1
-    ubar = list(map(add, sums[0][lo:], first[lo][lo:]))
+    ubar = sums[0][lo : lo + k] + [sums[0][b] + first[b][lo] for b in range(lo + k, n + 1)]
     for s in sums[1:]:
         nxt = s[lo : lo + k]
         for b in range(lo + k, n + 1):
@@ -261,17 +261,11 @@ def _gap_bound(
 
 
 def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
-    # first[x][b] for KatonaGap(k): the levels compatible with b below it
-    # are [0, b - k], so _gap_sums over C(b, b - k), ..., C(b, 0), read
-    # backwards, gives the best allowed subset of [x, b - k] for every x and
-    # then zeros, at most b + 1 values.
-    n = len(rows) - 1
-    columns = []
-    for b, w in enumerate(rows):
-        g = _gap_sums(w[b - k :: -1] if b >= k else (), k)
-        g.reverse()
-        columns.append(g + [0] * (n + 1 - len(g)))
-    return list(zip(*columns))
+    # Column b for KatonaGap(k): the levels compatible with b below it are
+    # [0, b - k], so _gap_sums over C(b, b - k), ..., C(b, 0), read
+    # backwards, holds at entry x <= b - k the best allowed subset of
+    # [x, b - k]; a column b < k is empty.
+    return [_gap_sums(w[b - k :: -1], k)[::-1] if b >= k else () for b, w in enumerate(rows)]
 
 
 def window_chain_count(n: int, k: int, ell: int, i: int) -> int:

@@ -106,6 +106,7 @@ class FamilyMask(Record):
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "FamilyMask":
+        _check_n(n, "FamilyMask")
         bits = 0
         for mask in members:
             _require_ints(member=(mask, None))

@@ -99,9 +99,7 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
     _require_ints(n=(n, None), k=(k, None))
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    ratio = Fraction(ratio)
-    if ratio <= 1:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    ratio = RatioLambda(ratio).ratio
     top = (ratio.numerator * k - 1) // ratio.denominator
     return sum(_row(n)[k : min(top, n) + 1])
 
@@ -109,9 +107,7 @@ def ratio_window_weight(n: int, k: int, ratio: Fraction) -> int:
 def best_ratio_window(n: int, ratio: Fraction) -> tuple[int, int]:
     """Maximum of ratio_window_weight over k in [1, n], with the smallest argmax k."""
     _require_ints(n=(n, 1))
-    ratio = Fraction(ratio)
-    if ratio <= 1:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
+    ratio = RatioLambda(ratio).ratio
     value, k, _ = _ratio_scan(n, ratio.numerator, ratio.denominator)
     return value, k
 

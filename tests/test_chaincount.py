@@ -628,9 +628,10 @@ def test_gap_search_bounds_only_suffix_runs(data, n, ell):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(0, 14))
 def test_suffix_tables_are_the_best_allowed_weights(data, n):
-    # first[x][b] is the largest weight rows[b][a] of an allowed subset of the
-    # levels of [x, b) that do not conflict with b, for random nonnegative
-    # rows; a custom table's search builds none.
+    # Entry x of column b, for each x <= b - k (every entry _gap_bound reads),
+    # is the largest weight rows[b][a] of an allowed subset of the levels of
+    # [x, b) that do not conflict with b, for random nonnegative rows; a
+    # custom table's search builds none.
     cond = data.draw(conditions_on(n, SEARCHED_KINDS))
     conflicts = level_conflicts(cond, n)
     if isinstance(cond, CustomPairwise):
@@ -643,14 +644,13 @@ def test_suffix_tables_are_the_best_allowed_weights(data, n):
     ]
     first = _gap_first_layer(cond.k, rows)
     assert len(first) == n + 1
-    for x in range(n + 1):
-        assert len(first[x]) == n + 1
-        for b in range(n + 1):
-            mask = ((1 << b) - (1 << x) if x < b else 0) & ~conflicts[b]
+    for b in range(n + 1):
+        for x in range(b - cond.k + 1):
+            mask = ((1 << b) - (1 << x)) & ~conflicts[b]
             best = max(
                 sum(rows[b][a] for a in levels) for levels in allowed_subsets(mask, conflicts)
             )
-            assert first[x][b] == best, (cond, x, b)
+            assert first[b][x] == best, (cond, x, b)
 
 
 NAMED_CONDITIONS = (

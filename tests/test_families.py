@@ -261,6 +261,14 @@ def test_family_mask_validation():
         FamilyMask.from_levels(3, [4])
 
 
+def test_family_mask_from_members_checks_n_first():
+    # n is checked before any member is shifted: the shift fails on a
+    # negative n and builds an integer of up to 2^n bits on a large one.
+    for n, members in ((-1, [0]), (40, [2**39])):
+        with pytest.raises(ValueError, match=rf"^FamilyMask needs 0 <= n <= 20, got n={n}$"):
+            FamilyMask.from_members(n, members)
+
+
 def test_family_mask_from_levels():
     fam = FamilyMask.from_levels(4, [0, 2])
     assert fam.size() == 1 + 6

@@ -620,6 +620,18 @@ def test_preconditions_rejected():
         integer_ratio_levels(5, 1)
 
 
+def test_ratio_closed_forms_refuse_floats():
+    # A binary float is not the ratio it spells (1.1 is 2476979795053773 /
+    # 2251799813685248), so the closed forms refuse it as RatioLambda does.
+    for ratio in (1.1, 1.5, 2.0):
+        with pytest.raises(ValueError, match="^ratio must be an integer or a Fraction"):
+            best_ratio_window(10, ratio)
+        with pytest.raises(ValueError, match="^ratio must be an integer or a Fraction"):
+            ratio_window_weight(10, 3, ratio)
+    with pytest.raises(ValueError, match="^ratio must exceed 1, got 1$"):
+        best_ratio_window(10, Fraction(1))
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
