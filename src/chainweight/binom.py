@@ -6,11 +6,12 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
+from .conditions import _require_ints
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); returns 0 whenever k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_ints(n=(n, 0), k=(k, None))
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -22,8 +23,7 @@ def binomial_row(n: int) -> list[int]:
     The exact recurrence C(n, k+1) = C(n, k)(n-k)/(k+1) runs up to
     k = floor(n/2); the rest of the row is its mirror, C(n, k) = C(n, n-k).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_ints(n=(n, 0))
     row = [1]
     c = 1
     for k in range(n // 2):
@@ -48,6 +48,9 @@ def chain_weight(n: int, sizes: Sequence[int]) -> int:
     reduces to C(n, s).
     """
     sizes = list(sizes)
+    _require_ints(n=(n, None))
+    for size in sizes:
+        _require_ints(size=(size, None))
     if not sizes:
         raise ValueError("sizes must be nonempty")
     for lo, hi in zip(sizes, sizes[1:]):

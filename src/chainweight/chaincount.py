@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from .binom import binomial, binomial_row  # noqa: F401
 from .conditions import Condition, _require_ints, level_conflicts, level_shape, normalize_levels
 from .levelbounds import SearchBudgetExceeded  # noqa: F401
-from .levelbounds import DEFAULT_NODE_BUDGET, _clique_cover_bound, _gap_sums, _search_levels
+from .levelbounds import _clique_cover_bound, _gap_sums, _search_levels
 from .levelbounds import size_bound
 from .record import Record
 
@@ -60,7 +60,7 @@ def optimal_levels_for_chains(
     cond: Condition,
     ell: int,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int | None = None,
 ) -> ChainCountResult:
     """Exact maximum of count_chains_levels over all level sets allowed by cond.
 
@@ -74,9 +74,13 @@ def optimal_levels_for_chains(
     chosen levels (see _include) and is bounded by _gap_bound for KatonaGap
     and _chain_bound for a custom table.  node_budget counts the nodes of
     either search, the root as node 1; past it SearchBudgetExceeded is
-    raised.  Any other type raises TypeError.
+    raised.  None stands for DEFAULT_NODE_BUDGET, read at call time; any
+    other value must be an int >= 0, even where no search runs.  A
+    condition of any other type raises TypeError.
     """
     _require_ints(n=(n, 0), ell=(ell, 1))
+    if node_budget is not None:
+        _require_ints(node_budget=(node_budget, 0))
     if ell == 1:
         bound = size_bound(n, cond, node_budget=node_budget)
         return ChainCountResult(bound.value, bound.witness, ell)

@@ -231,7 +231,7 @@ def count_chains_family(family: FamilyMask, ell: int) -> int:
         # A chain of distinct subsets of [n] has at most n + 1 members.
         return 0
     if _count_packed(family.n, ell):
-        return _count_chains_packed(family, ell, _lattice_chain_bound(family.n, ell))
+        return _count_chains_packed(family, ell)
     return _count_chains_array(family, ell)
 
 
@@ -246,12 +246,12 @@ def _spread_table(width: int) -> list[bytes]:
     return table
 
 
-def _count_chains_packed(family: FamilyMask, ell: int, bound: int) -> int:
+def _count_chains_packed(family: FamilyMask, ell: int) -> int:
     # The transform of the array count, on lane s of one packed int.  Every
-    # partial sum is at most `bound` (`_lattice_chain_bound`), so lanes of
-    # that many bytes never carry into each other.
+    # partial sum is at most `_lattice_chain_bound`, so lanes of that many
+    # bytes never carry into each other.
     n = family.n
-    width = bound.bit_length() + 7 >> 3
+    width = _lattice_chain_bound(n, ell).bit_length() + 7 >> 3
     lane_bits = width << 3
     table = _spread_table(width)
     ones = int.from_bytes(
@@ -306,8 +306,12 @@ def _count_chains_array(family: FamilyMask, ell: int) -> int:
     return total
 
 
-def _check_adjacency(n: int, what: str) -> None:
-    # The optimisers' size estimate, checked before anything is allocated.
+def _check_optimiser(n: int, what: str, cap: int, accept_exponential: bool) -> None:
+    # The exact optimisers' refusals, all before anything is allocated: n,
+    # the cap unless lifted, then the size estimate.
+    _check_n(n, what)
+    if n > cap and not accept_exponential:
+        raise ValueError(f"{what} is exponential; n={n} needs accept_exponential=True")
     estimate = (1 << 2 * n) // 4
     if estimate > ADJACENCY_MAX_BYTES:
         raise ValueError(
@@ -319,7 +323,7 @@ def _check_adjacency(n: int, what: str) -> None:
 def _compatibility(conflicts: tuple[int, ...], n: int) -> tuple[list[int], int]:
     # compatible[s] has bit t set iff t != s and {t, s} is not a forbidden
     # nested pair (per `level_conflicts`); returned with the all-vertices
-    # mask.  Callers run `_check_adjacency` first.
+    # mask.  Callers run `_check_optimiser` first.
     level = _masks(n)[1]
     # near[k]: the subsets whose size conflicts with k, never k itself (the
     # level masks are disjoint, so their sum is their union).
@@ -358,16 +362,27 @@ def max_family(
     the search is exact; the incumbent changes only on a strictly larger
     family, so an optimal greedy seed is the witness.
     """
-    _check_n(n, "max_family")
-    if n > OPTIMIZE_MAX_N and not accept_exponential:
-        raise ValueError(
-            f"max_family is exponential; n={n} needs accept_exponential=True"
-        )
-    _check_adjacency(n, "max_family")
+    _check_optimiser(n, "max_family", OPTIMIZE_MAX_N, accept_exponential)
     compatible, universe = _compatibility(level_conflicts(cond, n), n)
     incumbent = _greedy_family(compatible, n)
-    size, bits = _max_compatible_clique(compatible, universe, incumbent, n)
-    return size, FamilyMask(n, bits)
+    # Max clique in the compatibility graph with greedy-colouring bounds.
+    # Levels holding the most of the incumbent go first, ties middle-out:
+    # middle-out alone took 10x longer on an n = 8 table, ascending order
+    # 200x on n = 11 KatonaGap(4).
+    best = [incumbent.bit_count(), incumbent]
+    root_bound = _coloring(compatible, universe)[-1][1]
+    level = _masks(n)[1]
+    order = sorted(
+        range(n + 1), key=lambda s: (-(incumbent & level[s]).bit_count(), abs(2 * s - n), s)
+    )
+    candidates = universe
+    for s in order:
+        if best[0] >= root_bound:
+            break
+        rep = (1 << s) - 1
+        _expand_clique(compatible, best, 1, 1 << rep, candidates & compatible[rep])
+        candidates &= ~level[s]
+    return best[0], FamilyMask(n, best[1])
 
 
 def _greedy_family(compatible: list[int], n: int) -> int:
@@ -395,29 +410,6 @@ def _greedy_family(compatible: list[int], n: int) -> int:
     return best
 
 
-def _max_compatible_clique(
-    compatible: list[int], universe: int, incumbent: int, n: int
-) -> tuple[int, int]:
-    # Max clique in the compatibility graph with greedy-coloring bounds, one
-    # root branch per level (see max_family).  Levels holding the most of the
-    # incumbent go first, ties middle-out: middle-out alone took 10x longer
-    # on an n = 8 table, ascending order 200x on n = 11 KatonaGap(4).
-    best = [incumbent.bit_count(), incumbent]
-    root_bound = _coloring(compatible, universe)[-1][1]
-    level = _masks(n)[1]
-    order = sorted(
-        range(n + 1), key=lambda s: (-(incumbent & level[s]).bit_count(), abs(2 * s - n), s)
-    )
-    candidates = universe
-    for s in order:
-        if best[0] >= root_bound:
-            break
-        rep = (1 << s) - 1
-        _expand_clique(compatible, best, 1, 1 << rep, candidates & compatible[rep])
-        candidates &= ~level[s]
-    return best[0], best[1]
-
-
 def _coloring(compatible: list[int], candidates: int) -> list[tuple[int, int]]:
     # Greedy colouring of the candidates' conflict graph: (vertex, colour)
     # pairs with colours 1, 2, ... in ascending order.
@@ -438,7 +430,7 @@ def _coloring(compatible: list[int], candidates: int) -> list[tuple[int, int]]:
 def _expand_clique(
     compatible: list[int], best: list[int], size: int, bits: int, candidates: int
 ) -> None:
-    # One node of _max_compatible_clique; best is [size, bits] of the incumbent.
+    # One node of max_family's search; best is [size, bits] of the incumbent.
     if candidates == 0:
         if size > best[0]:
             best[:] = size, bits
@@ -489,13 +481,8 @@ def max_chains_family(
     n <= 4 unless accept_exponential is set, and at n <= 16 always (the
     compatibility and subset bitsets would pass ADJACENCY_MAX_BYTES).
     """
-    _check_n(n, "max_chains_family")
-    if n > CHAIN_OPTIMIZE_MAX_N and not accept_exponential:
-        raise ValueError(
-            f"max_chains_family is doubly exponential; n={n} needs accept_exponential=True"
-        )
+    _check_optimiser(n, "max_chains_family", CHAIN_OPTIMIZE_MAX_N, accept_exponential)
     _require_ints(ell=(ell, 1))
-    _check_adjacency(n, "max_chains_family")
     # Compiled ahead of the early return too, so a condition that cannot
     # apply at n is refused either way.
     conflicts = level_conflicts(cond, n)

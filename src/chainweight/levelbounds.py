@@ -130,9 +130,12 @@ def size_bound(n: int, cond: Condition, *, node_budget: int | None = None) -> Bo
     ties towards the lexicographically smallest set and spell its levels.
     node_budget counts the nodes of that search, the root as node 1; past
     it SearchBudgetExceeded is raised.  None stands for DEFAULT_NODE_BUDGET,
-    read at call time; the named optimizers do not search and ignore it.
+    read at call time; any other value must be an int >= 0, even where no
+    search runs.
     """
     _require_ints(n=(n, 0))
+    if node_budget is not None:
+        _require_ints(node_budget=(node_budget, 0))
     if isinstance(cond, Antichain):
         return _best_single_level(n)
     if isinstance(cond, ErdosWindow):
@@ -142,8 +145,7 @@ def size_bound(n: int, cond: Condition, *, node_budget: int | None = None) -> Bo
     if isinstance(cond, (RatioLambda, IntegerRatio)):
         return _best_ratio_levels(n, cond.ratio)
     if isinstance(cond, CustomPairwise):
-        budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-        return _branch_and_bound(n, cond, budget)
+        return _branch_and_bound(n, cond, node_budget)
     raise TypeError(f"not a condition: {cond!r}")
 
 
@@ -269,7 +271,7 @@ def _clique_cover_bound(conflicts: Sequence[int], w: list[int], avail: int) -> i
 
 def _search_levels(
     n: int, conflicts: Sequence[int], state, include: Callable, node_bound: Callable,
-    node_budget: int,
+    node_budget: int | None,
 ) -> tuple[int, tuple[int, ...]]:
     """The largest total of a level set of [0, n] allowed by conflicts, with the set.
 
@@ -285,8 +287,11 @@ def _search_levels(
     lexicographic order and the incumbent changes only on a strictly larger
     total, so the set is the lexicographically smallest maximizer, () if no
     total is positive.  node_budget counts nodes as they are popped, the
-    root as node 1; past it SearchBudgetExceeded is raised.
+    root as node 1; past it SearchBudgetExceeded is raised.  None stands
+    for DEFAULT_NODE_BUDGET, read at call time.
     """
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
     best = 0
     best_chosen: tuple[int, ...] = ()
     nodes = 0
@@ -320,7 +325,7 @@ def _search_levels(
     return best, best_chosen
 
 
-def _branch_and_bound(n: int, cond: CustomPairwise, node_budget: int) -> BoundResult:
+def _branch_and_bound(n: int, cond: CustomPairwise, node_budget: int | None) -> BoundResult:
     # Level h weighs C(n, h) << (n + 1) | 1 << (n - h): the low bits add
     # without carry and spell the set's levels, and of two sets of equal
     # binomial weight (neither holds the other) the one holding the smallest

@@ -38,6 +38,30 @@ def test_binomial_negative_k_is_zero():
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
         binomial(-1, 0)
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        binomial_row(-1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: binomial(True, 1), "n"),
+        (lambda: binomial(3.0, 1), "n"),
+        (lambda: binomial(3, False), "k"),
+        (lambda: binomial(3, 1.0), "k"),
+        (lambda: binomial_row(True), "n"),
+        (lambda: binomial_row(2.0), "n"),
+        (lambda: chain_weight(True, [0, 1]), "n"),
+        (lambda: chain_weight(3.0, [0, 1]), "n"),
+        (lambda: chain_weight(3, [True, 3]), "size"),
+        (lambda: chain_weight(3, [0, 1.0]), "size"),
+    ],
+)
+def test_binom_functions_refuse_bools_and_floats_by_name(call, name):
+    # A bool would count as 0 or 1, and a float failed inside math.comb
+    # without naming the argument.
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()
 
 
 def test_binomial_large_inputs_are_exact():

@@ -893,6 +893,13 @@ def test_window_chain_count_preconditions():
         window_chain_count(6, 2, 0, 1)
 
 
+def test_best_window_preconditions():
+    with pytest.raises(ValueError, match="^need 1 <= k <= n, got k=0, n=5$"):
+        best_window_for_chains(5, 0, 1)
+    with pytest.raises(ValueError, match=r"^need 1 <= ell <= k \+ 1, got ell=3$"):
+        best_window_for_chains(5, 1, 3)
+
+
 def test_best_window_examples():
     assert best_window_for_chains(6, 1, 2) == (60, (2, 3))
     count, argmax = best_window_for_chains(7, 1, 2)

@@ -44,6 +44,10 @@ def test_parse_condition_errors_name_the_token():
         parse_condition("ratio:lambda=1/2")
     with pytest.raises(UsageError, match="x"):
         parse_condition("katona:k=x")
+    with pytest.raises(UsageError, match="^antichain takes no parameters, got 'x'$"):
+        parse_condition("antichain:x")
+    with pytest.raises(UsageError, match=r"^bad condition 'ratio:lambda=3': lambda must look like p/q, got '3'$"):
+        parse_condition("ratio:lambda=3")
     # Ranges are checked by the condition types; the parser names the token.
     for token in ("erdos:k=0", "intratio:c=1", "ratio:lambda=-3/-2", "ratio:lambda=3/0"):
         with pytest.raises(UsageError, match=re.escape(token)):

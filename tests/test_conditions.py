@@ -163,6 +163,8 @@ def test_condition_parameter_validation():
         CustomPairwise(3, frozenset({(2, 2)}))
     with pytest.raises(ValueError):
         CustomPairwise(3, frozenset({(1, 4)}))
+    with pytest.raises(ValueError, match=r"^forbidden entries must be pairs, got \(0, 1, 2\)$"):
+        CustomPairwise(3, [(0, 1, 2)])
 
 
 @settings(max_examples=300)
@@ -373,6 +375,7 @@ def test_load_custom_condition_rejects_bad_documents(tmp_path):
         {"n": 3, "forbidden": [[False, True]]},
         {"n": "3", "forbidden": []},
         {"n": 3, "forbidden": [[[0], [1]]]},
+        {"n": 3, "forbidden": {}},
     ]
     for i, doc in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -413,7 +416,7 @@ def test_custom_tables_are_freed_after_use():
     assert ref() is None
 
 
-def test_level_conflicts_cache_clear_empties_both_caches():
+def test_level_conflicts_cache_clear_empties_the_named_cache():
     level_conflicts(KatonaGap(2), 5)
     level_conflicts(CustomPairwise(4, frozenset({(0, 1)})), 4)
     level_conflicts.cache_clear()
@@ -493,6 +496,8 @@ def test_level_items_keep_their_range_messages():
         count_chains_levels(6, (3, -1), 2)
     with pytest.raises(ValueError, match=r"levels must be distinct, got \(3, 3\)"):
         allowed_levels(KatonaGap(2), (3, 3))
+    with pytest.raises(ValueError, match="^size 4 exceeds the table range n=3$"):
+        allowed_levels(CustomPairwise(3, [(0, 1)]), [0, 4])
     with pytest.raises(ValueError, match=r"levels must lie in \[0, 3\]"):
         FamilyMask.from_levels(3, [4])
     with pytest.raises(ValueError, match="subset mask 8 out of range for n=3"):

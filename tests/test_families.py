@@ -435,7 +435,7 @@ def test_step_widths_follow_the_running_total(monkeypatch):
     for missing in (0, 1 << 7 | 1 << 3, (1 << n) - 1):
         family = FamilyMask(n, full.bits ^ 1 << missing)
         assert family.size() == 2**16 - 1
-        expected = _count_chains_packed(family, 3, _lattice_chain_bound(n, 3))
+        expected = _count_chains_packed(family, 3)
         assert count_chains_family(family, 2) > 2**16
         assert step_widths(monkeypatch, family, 3) == (expected, ["uint16", "uint32"])
 
@@ -476,13 +476,12 @@ def test_array_count_matches_packed_across_step_widths():
 
     rng = random.Random(1516)
     for n in (15, 16):
-        bound = _lattice_chain_bound(n, 4)
         for density_rounds in (0, 3, 8):
             bits = rng.getrandbits(1 << n)
             for _ in range(density_rounds):
                 bits &= rng.getrandbits(1 << n)
             family = FamilyMask(n, bits)
-            expected = _count_chains_packed(family, 4, bound)
+            expected = _count_chains_packed(family, 4)
             assert count_chains_family(family, 4) == expected
             assert _count_chains_array(family, 4) == expected
 
@@ -535,7 +534,7 @@ def test_packed_count_matches_int64_count(case, data):
     bound = _lattice_chain_bound(n, ell)
     assert bound < 2**63
     expected = count_chains_family(family, ell)
-    assert _count_chains_packed(family, ell, bound) == expected
+    assert _count_chains_packed(family, ell) == expected
     assert _count_chains_array(family, ell) == expected
     if n <= 8 and ell <= 4:
         assert expected == reference_count_chains_family(family, ell)

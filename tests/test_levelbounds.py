@@ -673,6 +673,36 @@ def test_custom_search_stops_at_the_root_bound(monkeypatch):
         size_bound(40, random_table(40, 0.3, 0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cond, **budget: size_bound(5, cond, **budget),
+        lambda cond, **budget: optimal_levels_for_chains(5, cond, 2, **budget),
+    ],
+    ids=["size_bound", "optimal_levels_for_chains"],
+)
+@pytest.mark.parametrize(
+    "cond", [CustomPairwise(5, [(0, 1)]), Antichain()], ids=["search", "no-search"]
+)
+def test_node_budget_is_a_nonnegative_int_or_none(call, cond, monkeypatch):
+    # Refused by name on every path, the ones that never search included;
+    # None stands for DEFAULT_NODE_BUDGET, read at call time.
+    for bad in (True, 1.5, "7"):
+        with pytest.raises(TypeError, match="^node_budget must be an int"):
+            call(cond, node_budget=bad)
+    with pytest.raises(ValueError, match="^node_budget must be nonnegative, got -1$"):
+        call(cond, node_budget=-1)
+    expected = call(cond)
+    assert call(cond, node_budget=None) == expected
+    monkeypatch.setattr(levelbounds, "DEFAULT_NODE_BUDGET", 0)
+    if isinstance(cond, CustomPairwise):
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 0 nodes"):
+            call(cond, node_budget=None)
+        assert call(cond, node_budget=10**8) == expected
+    else:
+        assert call(cond, node_budget=None) == call(cond, node_budget=0) == expected
+
+
 class _MasksTaken(Exception):
     pass
 
