@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 # binomial and SearchBudgetExceeded are not used here; they stay bound
@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from .binom import binomial, binomial_row  # noqa: F401
 from .conditions import Condition, _require_ints, level_conflicts, level_shape, normalize_levels
 from .levelbounds import SearchBudgetExceeded  # noqa: F401
-from .levelbounds import _clique_cover_bound, _gap_sums, _search_levels
+from .levelbounds import _clique_cover_bound, _search_levels
 from .levelbounds import size_bound
 from .record import Record
 
@@ -92,7 +92,7 @@ def optimal_levels_for_chains(
         count, starts = _best_windows(n, shape, ell)
         m = starts[0]
         return ChainCountResult(count, tuple(range(m, shape[m] + 1)) if count else (), ell)
-    rows = [binomial_row(h) for h in range(n + 1)]
+    rows = _pascal_rows(n)
     conflicts = shape if kind == "table" else level_conflicts(cond, n)
     if kind == "gap":
         node_bound = partial(_gap_bound, shape, rows, _gap_first_layer(shape, rows))
@@ -173,13 +173,14 @@ def _include(
     level's chain counts are u_1(h) = 1 and u_j(h) = sums[j-2][h], so an
     include costs O(ell * n) and a leaf needs no recount.
     """
-    n = len(rows) - 1
     u = [1, *(s[h] for s in sums)]
-    sums = [
-        s[: h + 1] + [s[x] + rows[x][h] * uj for x in range(h + 1, n + 1)]
-        for s, uj in zip(sums, u)
-    ]
-    return sums, total + rows[n][h] * u[-1]
+    col = [row[h] for row in rows[h + 1 :]]
+    new = []
+    for s, uj in zip(sums, u):
+        t = s[: h + 1]
+        t += map(add, s[h + 1 :], col if uj == 1 else [c * uj for c in col])
+        new.append(t)
+    return new, total + rows[-1][h] * u[-1]
 
 
 def _chain_bound(
@@ -247,29 +248,72 @@ def _gap_bound(
     last layer likewise, with total' = total + C(n, lo) * u_ell(lo).
     """
     n = len(rows) - 1
+    # A gap past n allows one level of [0, n], as k does.
+    k = min(k, n + 1)
     lo = (avail & -avail).bit_length() - 1
-    ubar = sums[0][lo : lo + k] + [sums[0][b] + first[b][lo] for b in range(lo + k, n + 1)]
+    # ubar and nxt are indexed by level; their entries below lo are never read.
+    s0 = sums[0]
+    ubar = s0[: lo + k] + [s0[b] + first[b][lo] for b in range(lo + k, n + 1)]
+    # Every pass, the last layer's too, runs up its levels a from lo, writing
+    # f[a] and reading f[a - k]: written by the same pass when a - k >= lo,
+    # and else 0.  No pass writes below lo, and a read below index 0 wraps to
+    # entry n + 1 + a - k, past n - k, where the j >= 3 passes stop, and at
+    # least a, which the last layer has not reached yet.
+    f = [0] * (n + 1)
     for s in sums[1:]:
-        nxt = s[lo : lo + k]
+        nxt = s[: lo + k]
         for b in range(lo + k, n + 1):
-            f = [0] * k
+            w = rows[b]
             best = 0
-            for x in map(mul, rows[b][lo : b - k + 1], ubar):
-                take = x + f[-k]
+            for a in range(lo, b - k + 1):
+                take = w[a] * ubar[a] + f[a - k]
                 if take > best:
                     best = take
-                f.append(best)
+                f[a] = best
             nxt.append(s[b] + best)
         ubar = nxt
-    return total + _gap_sums(list(map(mul, rows[n][lo:], ubar)), k)[-1]
+    w = rows[n]
+    best = 0
+    for a in range(lo, n + 1):
+        take = w[a] * ubar[a] + f[a - k]
+        if take > best:
+            best = take
+        f[a] = best
+    return total + best
 
 
 def _gap_first_layer(k: int, rows: list[list[int]]) -> list[Sequence[int]]:
     # Column b for KatonaGap(k): the levels compatible with b below it are
-    # [0, b - k], so _gap_sums over C(b, b - k), ..., C(b, 0), read
-    # backwards, holds at entry x <= b - k the best allowed subset of
-    # [x, b - k]; a column b < k is empty.
-    return [_gap_sums(w[b - k :: -1], k)[::-1] if b >= k else () for b, w in enumerate(rows)]
+    # [0, b - k], so the suffix recurrence g[x] = max(g[x + 1], w[x] + g[x + k])
+    # over w = C(b, 0), ..., C(b, b - k), written in place from x = b - k down
+    # to 0 over a column of b + 1 zeros, holds at entry x <= b - k the best
+    # allowed subset of [x, b - k].  A column b < k is empty, so a k past n
+    # allocates nothing.
+    first: list[Sequence[int]] = [()] * min(k, len(rows))
+    for b in range(k, len(rows)):
+        w = rows[b]
+        col = [0] * (b + 1)
+        best = 0
+        for x in range(b - k, -1, -1):
+            take = w[x] + col[x + k]
+            if take > best:
+                best = take
+            col[x] = best
+        first.append(col)
+    return first
+
+
+def _pascal_rows(n: int) -> list[list[int]]:
+    # Rows 0..n of Pascal's triangle, each from the one before it: the first
+    # half of row m by C(m, j) = C(m - 1, j - 1) + C(m - 1, j), the rest its
+    # mirror, so entries j and m - j are one int object, as in binomial_row.
+    row = [1]
+    rows = [row]
+    for m in range(1, n + 1):
+        row = [1, *map(add, row, row[1 : m // 2 + 1])]
+        row += row[(m - 1) // 2 :: -1]
+        rows.append(row)
+    return rows
 
 
 def window_chain_count(n: int, k: int, ell: int, i: int) -> int:

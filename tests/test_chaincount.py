@@ -38,6 +38,7 @@ from chainweight.chaincount import (
     _gap_bound,
     _gap_first_layer,
     _include,
+    _pascal_rows,
 )
 from chainweight.conditions import level_shape
 from chainweight.levelbounds import _clique_cover_bound, _gap_sums, size_bound
@@ -856,6 +857,35 @@ def test_inherited_bounds_skip_bound_evaluations():
     assert own[:3] == (result.count, result.levels, 61)
     assert own[3] == 50
     assert reference_recursive_levels_for_chains(28, cond, 3)[2:] == (61, 40)
+
+
+def test_chain_searches_build_no_checked_rows(monkeypatch):
+    # The KatonaGap and custom-table searches take their rows from one Pascal
+    # pass, not from n + 1 binomial_row calls that each check their argument.
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return binomial_row(m)
+
+    monkeypatch.setattr(chaincount, "binomial_row", counted)
+    table = next(p.values[0] for p in seeded_custom_tables() if p.id == "custom-d0.2-1")
+    for n, cond, ell in ((30, KatonaGap(3), 2), (30, KatonaGap(3), 3), (table.n, table, 2),
+                         (table.n, table, 3)):
+        result = optimal_levels_for_chains(n, cond, ell)
+        assert result.count == count_chains_levels(n, result.levels, ell)
+    assert built == []
+
+
+def test_pascal_rows_are_the_binomial_rows_with_shared_mirrors():
+    # Row m equals binomial_row(m), and entries j and m - j are one int
+    # object, as binomial_row's mirror makes them: without the sharing the
+    # rows at n = 2000 take about twice the memory.
+    expected = [binomial_row(m) for m in range(301)]
+    for n in range(301):
+        rows = _pascal_rows(n)
+        assert rows == expected[: n + 1]
+        assert all(row[j] is row[m - j] for m, row in enumerate(rows) for j in range(m + 1))
 
 
 def test_search_leaves_no_cyclic_garbage():
